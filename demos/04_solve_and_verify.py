@@ -52,8 +52,12 @@ print(f"covered pairs: {list(solution.covered)}")
 print(
     f"decomposition: {stats['segments']} segments, "
     f"{stats['restricted_problems']} restricted problems, "
-    f"{stats['omega_total']} candidates in total, "
     f"{stats['runtime_ms']:.0f} ms"
+)
+print(
+    f"branch-and-bound: {stats['solved']} problems solved, "
+    f"{stats['pruned']} pruned by their weight bound, "
+    f"{stats['omega_total']} candidates evaluated"
 )
 
 # grid search lower bound: must never beat the solver

@@ -14,8 +14,15 @@ optimal point of the restricted problem is assembled from
 * one fallback point distinct from everything else, which is optimal whenever
   nothing is coverable.
 
-The best candidate over all restricted problems solves the full problem.  A
-brute-force grid oracle over edge-pair rectangles provides an independent
+The best candidate over all restricted problems solves the full problem.  The
+global solver finds it by branch-and-bound: a certified upper bound on every
+restricted problem's objective (the weight of the pairs whose trip-length
+lower bound, two point-to-segment distances plus ``alpha`` times the least
+network distance on the rectangle, reaches the acceptance level) orders the
+problems, and a problem is solved only while its bound can still beat or tie
+the incumbent.  The answer is the one a full sweep returns.
+
+A brute-force grid oracle over edge-pair rectangles provides an independent
 lower bound used for verification; it evaluates network distances directly
 from the vertex distance matrix and never touches the segment classification
 machinery.
@@ -26,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -57,6 +64,7 @@ from .mixed_distance import (
     coverage_and_objective,
     coverage_weights,
     pair_domain,
+    segment_geometry,
 )
 from .model import (
     NetworkPoint,
@@ -80,6 +88,9 @@ PROV_PAIR_CURVES = "pair-curves"
 PROV_CROSS_CURVES = "cross-curves"
 PROV_AUGMENT = "augment"
 PROV_FALLBACK = "fallback"
+
+#: relative rounding allowance of the coverability test in ``problem_bounds``
+_BOUND_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -444,9 +455,124 @@ def solve_restricted(
     )
 
 
-def _solve_task(args) -> FdsSolution:
-    inst, rp, params = args
+def problem_bounds(
+    inst: ProblemInstance,
+    prep: Preprocessed,
+    problems: Sequence[RestrictedProblem],
+    cov_tol: float = DEFAULT_COVERAGE_TOL,
+) -> list[float]:
+    """Certified upper bound on the objective of every restricted problem.
+
+    On a problem, a pair's trip length in either boarding order is at least
+    the distance from its origin to the boarding segment, plus the distance
+    from the exit segment to its destination, plus ``alpha`` times the least
+    network distance over the rectangle (attained at a corner, since every
+    distance form is affine).  The bound is the weight of the pairs for which
+    that lower bound, in one of the two orders, is within ``acceptance +
+    cov_tol`` plus a rounding allowance.  The allowance, a fixed multiple of
+    the machine epsilon times the largest of the lower bound, the acceptance
+    level and the instance's coordinate and network-length scale, covers the
+    rounding of the trip lengths the coverage test evaluates, so no pair that
+    test would count is left out.  Weights are summed in pair order, as
+    ``coverage_weights`` and ``coverage_and_objective`` sum them, so the bound
+    is at least every objective of the problem in floating point too.
+    """
+
+    net = inst.network
+    segments = prep.segments
+    column = {seg: k for k, seg in enumerate(segments)}
+    geoms = [segment_geometry(net, seg) for seg in segments]
+    leg = {
+        f.id: np.array(
+            [_point_segment_distance(f.position.x, f.position.y, g) for g in geoms]
+        )
+        for f in inst.facilities
+    }
+    p_col = np.array([column[rp.seg_p] for rp in problems], dtype=int)
+    q_col = np.array([column[rp.seg_q] for rp in problems], dtype=int)
+    ride = inst.alpha * np.array(
+        [_min_network_distance(rp.domain.pair_class) for rp in problems]
+    )
+    points = [v.position for v in net.vertices] + [f.position for f in inst.facilities]
+    scale = max(
+        max(max(abs(p.x), abs(p.y)) for p in points),
+        float(prep.dist.max()) + 2.0 * max(e.length for e in net.edges),
+    )
+
+    bounds = np.zeros(len(problems))
+    for pair in inst.pairs:
+        a = leg[pair.origin]
+        b = leg[pair.dest]
+        lb = np.minimum(
+            a[p_col] + b[q_col] + ride,
+            a[q_col] + b[p_col] + ride,
+        )
+        margin = _BOUND_ROUNDING * np.maximum(np.maximum(lb, pair.acceptance), scale)
+        bounds += pair.weight * (lb <= pair.acceptance + cov_tol + margin)
+    return bounds.tolist()
+
+
+def _rank(sol: FdsSolution) -> tuple[float, int, float, float]:
+    """Sort key of the global reduction: best objective, then problem index, then point."""
+
+    return (-sol.objective, sol.rp_index, sol.best[0], sol.best[1])
+
+
+def _may_win(bound: float, index: int, incumbent: FdsSolution | None) -> bool:
+    """Whether a problem with this bound could still beat or tie ``incumbent``."""
+
+    if incumbent is None:
+        return True
+    if bound != incumbent.objective:
+        return bound > incumbent.objective
+    return index <= incumbent.rp_index
+
+
+_worker_args: tuple[ProblemInstance, dict] | None = None
+
+
+def _init_worker(inst: ProblemInstance, params: dict) -> None:
+    global _worker_args
+    _worker_args = (inst, params)
+
+
+def _solve_task(rp: RestrictedProblem) -> FdsSolution:
+    inst, params = _worker_args
     return solve_restricted(inst, rp, **params)
+
+
+def _search_pool(
+    inst: ProblemInstance,
+    problems: Sequence[RestrictedProblem],
+    order: Sequence[int],
+    bounds: Sequence[float],
+    params: dict,
+    jobs: int,
+    results: dict[int, FdsSolution],
+) -> FdsSolution | None:
+    """Branch-and-bound with at most ``jobs`` problems in flight, in ``order``."""
+
+    best = None
+    queue = iter(order)
+    pending: set = set()
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(inst, params)
+    ) as pool:
+        while True:
+            while queue is not None and len(pending) < jobs:
+                k = next(queue, None)
+                if k is None or not _may_win(bounds[k], k, best):
+                    queue = None  # bounds only fall along the order
+                else:
+                    pending.add(pool.submit(_solve_task, problems[k]))
+            if not pending:
+                return best
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                sol = future.result()
+                results[sol.rp_index] = sol
+                if best is None or _rank(sol) < _rank(best):
+                    best = sol
 
 
 def solve_global(
@@ -458,13 +584,22 @@ def solve_global(
     trace_tol: float = DEFAULT_TRACE_TOL,
     jobs: int = 1,
 ) -> tuple[Solution, dict]:
-    """Solve the full problem by sweeping every restricted problem.
+    """Solve the full problem by branch-and-bound over the restricted problems.
 
-    Restricted problems are independent; with ``jobs`` above one they are
-    dispatched to a process pool and reduced deterministically (best
-    objective, ties by problem index then lexicographic point), so results do
-    not depend on scheduling.  Returns the solution plus a stats dict with the
-    decomposition counters.
+    Problems are visited in descending ``problem_bounds`` order (ties by
+    index) and skipped once their bound cannot beat or tie the incumbent under
+    the reduction order: best objective, ties by problem index then
+    lexicographic point.  The result is therefore the one a sweep over every
+    problem returns.  With ``jobs`` above one, up to ``jobs`` problems run at
+    once in a process pool that receives the instance once.
+
+    Returns the solution plus a stats dict.  ``solved`` counts the *required*
+    problems, those whose bound beats the optimum or ties it at an index up
+    to the winner's; every schedule solves all of them, and the per-problem
+    counters (``omega_total``, ``curves``, ``intersections``,
+    ``max_curve_pair_intersections``, ``bound_exceeded``) are summed over
+    them alone, so the stats do not depend on ``jobs``.  ``pruned`` counts the
+    rest.
     """
 
     started = time.perf_counter()
@@ -474,25 +609,28 @@ def solve_global(
 
     prep = preprocess_network(inst.network)
     problems = restricted_problems(inst, prep)
+    bounds = problem_bounds(inst, prep, problems, cov_tol)
+    order = sorted(range(len(problems)), key=lambda k: (-bounds[k], k))
     params = dict(
         trace_res=trace_res, cov_tol=cov_tol, refine_tol=refine_tol, trace_tol=trace_tol
     )
-    logger.info("solving %d restricted problems (jobs=%d)", len(problems), jobs)
+    results: dict[int, FdsSolution] = {}
     if jobs > 1 and len(problems) > 1:
-        chunk = max(1, len(problems) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _solve_task,
-                    ((inst, rp, params) for rp in problems),
-                    chunksize=chunk,
-                )
-            )
+        best = _search_pool(inst, problems, order, bounds, params, jobs, results)
     else:
-        results = [solve_restricted(inst, rp, **params) for rp in problems]
+        best = None
+        for k in order:
+            if not _may_win(bounds[k], k, best):
+                break  # bounds only fall along the order
+            sol = solve_restricted(inst, problems[k], **params)
+            results[k] = sol
+            if best is None or _rank(sol) < _rank(best):
+                best = sol
 
-    best = min(
-        results, key=lambda s: (-s.objective, s.rp_index, s.best[0], s.best[1])
+    # every schedule solves these: the problems that could tie or beat the winner
+    required = [results[k] for k in range(len(problems)) if _may_win(bounds[k], k, best)]
+    logger.info(
+        "solved %d of %d restricted problems (jobs=%d)", len(required), len(problems), jobs
     )
     rp = problems[best.rp_index]
     x1 = network_point(
@@ -505,13 +643,15 @@ def solve_global(
     stats = {
         "segments": len(prep.segments),
         "restricted_problems": len(problems),
-        "omega_total": int(sum(s.counters["omega"] for s in results)),
-        "curves": int(sum(s.counters["curves"] for s in results)),
-        "intersections": int(sum(s.counters["intersections"] for s in results)),
+        "solved": len(required),
+        "pruned": len(problems) - len(required),
+        "omega_total": int(sum(s.counters["omega"] for s in required)),
+        "curves": int(sum(s.counters["curves"] for s in required)),
+        "intersections": int(sum(s.counters["intersections"] for s in required)),
         "max_curve_pair_intersections": int(
-            max((s.counters["max_curve_pair_intersections"] for s in results), default=0)
+            max((s.counters["max_curve_pair_intersections"] for s in required), default=0)
         ),
-        "bound_exceeded": int(sum(s.counters["bound_exceeded"] for s in results)),
+        "bound_exceeded": int(sum(s.counters["bound_exceeded"] for s in required)),
         "runtime_ms": (time.perf_counter() - started) * 1000.0,
     }
     return solution, stats

@@ -108,21 +108,6 @@ def _check_domain(pc: PairClass, x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def branch_distance(pc: PairClass, branch: str, x, y):
-    """Network distance of one branch routing (no orientation involved).
-
-    Type 1 pairs carry two affine branches; for type 2 both branch tags
-    evaluate the single form, or |x - y| on a diagonal (same-segment) pair.
-    """
-
-    x, y = _check_domain(pc, x, y)
-    if pc.diagonal:
-        return np.abs(x - y)
-    if pc.kind == TYPE1 and branch == BRANCH_B:
-        return pc.forms[1](x, y)
-    return pc.forms[0](x, y)
-
-
 def network_distance(pc: PairClass, x, y):
     """Shortest network distance between the two segment points.
 

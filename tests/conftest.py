@@ -17,9 +17,14 @@ import numpy as np
 import pytest
 
 from tripcover import parse_instance
-from tripcover.fds_solver import RestrictedProblem, restricted_problems
+from tripcover.fds_solver import (
+    FdsSolution,
+    RestrictedProblem,
+    restricted_problems,
+    solve_restricted,
+)
 from tripcover.mixed_distance import pair_domain
-from tripcover.model import Network, ProblemInstance
+from tripcover.model import Network, ProblemInstance, Solution, network_point
 from tripcover.preprocess import classify_segment_pair, preprocess_network
 
 S6 = 2.0 * math.sqrt(6.0)
@@ -188,6 +193,7 @@ def insertion_distance(
 # seeded random suite
 
 SUITE_SEEDS = tuple(range(101, 121))
+SUITE_TRACE_RES = 128
 
 
 def random_instance_doc(seed: int) -> dict:
@@ -267,3 +273,118 @@ def random_instance_doc(seed: int) -> dict:
 @pytest.fixture(scope="session")
 def random_suite() -> list[ProblemInstance]:
     return [parse_instance(random_instance_doc(seed)) for seed in SUITE_SEEDS]
+
+
+# ---------------------------------------------------------------------------
+# unpruned reference sweep
+
+
+def full_sweep(
+    inst: ProblemInstance, trace_res: int
+) -> tuple[list[RestrictedProblem], list[FdsSolution]]:
+    """Solve every restricted problem, with no bound and no pruning."""
+
+    problems = restricted_problems(inst, preprocess_network(inst.network))
+    return problems, [solve_restricted(inst, rp, trace_res=trace_res) for rp in problems]
+
+
+def sweep_winner(solutions: list[FdsSolution]) -> FdsSolution:
+    """The restricted solution a full sweep reduces to, by the solver's tie order."""
+
+    return min(solutions, key=lambda s: (-s.objective, s.rp_index, s.best[0], s.best[1]))
+
+
+def sweep_solution(
+    inst: ProblemInstance,
+    problems: list[RestrictedProblem],
+    solutions: list[FdsSolution],
+) -> Solution:
+    """The global solution a full sweep reduces to."""
+
+    best = sweep_winner(solutions)
+    rp = problems[best.rp_index]
+    x1 = network_point(inst.network, rp.seg_p.edge, rp.seg_p.start + best.best[0])
+    x2 = network_point(inst.network, rp.seg_q.edge, rp.seg_q.start + best.best[1])
+    return Solution(x1, x2, best.objective, best.covered)
+
+
+@pytest.fixture(scope="session")
+def random_suite_sweeps(random_suite) -> list[list[FdsSolution]]:
+    """Every restricted problem of the random suite, solved at ``SUITE_TRACE_RES``."""
+
+    return [full_sweep(inst, SUITE_TRACE_RES)[1] for inst in random_suite]
+
+
+# ---------------------------------------------------------------------------
+# instance transformations and the gridN workload
+
+
+def transformed_doc(doc: dict, scale: float = 1.0, shift: float = 0.0) -> dict:
+    """``doc`` with every coordinate mapped to ``scale * c + shift``.
+
+    Explicit edge lengths and acceptance levels scale with the coordinates;
+    a pure shift leaves them unchanged.
+    """
+
+    def point(row):
+        return {**row, "x": scale * row["x"] + shift, "y": scale * row["y"] + shift}
+
+    return {
+        **doc,
+        "vertices": [point(v) for v in doc["vertices"]],
+        "edges": [
+            {**e, "length": scale * e["length"]} if "length" in e else dict(e)
+            for e in doc["edges"]
+        ],
+        "facilities": [point(f) for f in doc["facilities"]],
+        "pairs": [{**p, "d": scale * p["d"]} for p in doc["pairs"]],
+    }
+
+
+def grid_instance_doc(n: int, n_facilities: int, n_pairs: int, seed: int = 0) -> dict:
+    """The "gridN" instance: an n x n jittered grid network.
+
+    Vertex (i, j) sits at (4i, 4j) plus a jitter drawn from U(-0.5, 0.5) per
+    coordinate, x first, in id order i*n + j.  Edges join 4-neighbours at
+    their Euclidean length.  Facilities are uniform on [-1, 4(n-1)+1]^2.  O/D
+    pairs are drawn without replacement from the ordered facility pairs; each
+    then draws its weight t in 1..5 and its acceptance d = gap * U(0.6, 0.95).
+    alpha is 0.3.
+    """
+
+    rng = np.random.default_rng(seed)
+    vertices = []
+    for i in range(n):
+        for j in range(n):
+            jx = float(rng.uniform(-0.5, 0.5))
+            jy = float(rng.uniform(-0.5, 0.5))
+            vertices.append({"id": i * n + j, "x": 4.0 * i + jx, "y": 4.0 * j + jy})
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            v = i * n + j
+            if j + 1 < n:
+                edges.append({"u": v, "w": v + 1})
+            if i + 1 < n:
+                edges.append({"u": v, "w": v + n})
+
+    fac = rng.uniform(-1.0, 4.0 * (n - 1) + 1.0, (n_facilities, 2))
+    all_od = [(i, j) for i in range(n_facilities) for j in range(n_facilities) if i != j]
+    chosen = rng.choice(len(all_od), size=n_pairs, replace=False)
+    pairs = []
+    for k in chosen:
+        i, j = all_od[int(k)]
+        t = float(rng.integers(1, 6))
+        gap = math.hypot(*(fac[i] - fac[j]))
+        pairs.append({"i": i, "j": j, "t": t, "d": gap * float(rng.uniform(0.6, 0.95))})
+
+    return {
+        "alpha": 0.3,
+        "vertices": vertices,
+        "edges": edges,
+        "facilities": [
+            {"id": k, "x": float(fac[k, 0]), "y": float(fac[k, 1])}
+            for k in range(n_facilities)
+        ],
+        "pairs": pairs,
+    }

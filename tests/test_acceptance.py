@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
-The random-instance experiment (criteria 4, 5, 6, 7) is computed once in a
-session fixture and shared.
+The random-instance experiment (criterion 4) is computed once in a session
+fixture; criterion 7 reads every restricted problem of the same instances
+from the shared ``random_suite_sweeps`` fixture.
 """
 
 import json
@@ -30,9 +31,7 @@ from tripcover.preprocess import (
     classify_segment_pair,
     preprocess_network,
 )
-from conftest import antipodal_problem, fig4_doc, trapezoid_doc
-
-SUITE_TRACE_RES = 128
+from conftest import SUITE_TRACE_RES, antipodal_problem, fig4_doc, trapezoid_doc
 
 
 def verdict(number: int, passed: bool, detail: str) -> None:
@@ -45,22 +44,20 @@ class SuiteRun:
     objectives: list[float]
     oracle200: list[float]
     oracle400: list[float]
-    stats: list[dict]
     elapsed: float
 
 
 @pytest.fixture(scope="session")
 def suite_run(random_suite) -> SuiteRun:
     started = time.perf_counter()
-    objectives, o200, o400, stats = [], [], [], []
+    objectives, o200, o400 = [], [], []
     for inst in random_suite:
-        sol, st = solve_global(inst, trace_res=SUITE_TRACE_RES)
+        sol, _ = solve_global(inst, trace_res=SUITE_TRACE_RES)
         objectives.append(sol.objective)
-        stats.append(st)
         o200.append(oracle_grid(inst, res=200).objective)
         o400.append(oracle_grid(inst, res=400).objective)
     return SuiteRun(
-        random_suite, objectives, o200, o400, stats, time.perf_counter() - started
+        random_suite, objectives, o200, o400, time.perf_counter() - started
     )
 
 
@@ -296,9 +293,11 @@ def test_criterion_6_curvature_witnesses(random_suite):
     )
 
 
-def test_criterion_7_crossing_bound(suite_run):
-    worst = max(s["max_curve_pair_intersections"] for s in suite_run.stats)
-    exceeded = sum(s["bound_exceeded"] for s in suite_run.stats)
+def test_criterion_7_crossing_bound(random_suite_sweeps):
+    # every restricted problem, not only those the global solver leaves unpruned
+    counters = [sol.counters for sweep in random_suite_sweeps for sol in sweep]
+    worst = max(c["max_curve_pair_intersections"] for c in counters)
+    exceeded = sum(c["bound_exceeded"] for c in counters)
     try:
         assert worst <= 12
         assert exceeded == 0

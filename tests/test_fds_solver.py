@@ -11,6 +11,7 @@ from tripcover.fds_solver import (
     network_point_distance,
     oracle_grid,
     pair_candidates,
+    problem_bounds,
     restricted_problems,
     solve_global,
     solve_restricted,
@@ -19,7 +20,19 @@ from tripcover.level_curves import branch_field, trace_level_curve
 from tripcover.mixed_distance import coverage_and_objective, coverage_weights
 from tripcover.model import network_point
 from tripcover.preprocess import preprocess_network
-from conftest import antipodal_problem, fig4_doc, insertion_distance, trapezoid_doc
+from conftest import (
+    SUITE_TRACE_RES,
+    antipodal_problem,
+    fig4_doc,
+    full_sweep,
+    grid_instance_doc,
+    insertion_distance,
+    random_instance_doc,
+    sweep_solution,
+    sweep_winner,
+    transformed_doc,
+    trapezoid_doc,
+)
 
 
 def path_instance(d=5.0):
@@ -210,7 +223,8 @@ def test_global_solution_trapezoid(trapezoid_a04):
     assert sol.covered == ((0, 1),)
     assert stats["segments"] == 8
     assert stats["restricted_problems"] == 36
-    assert stats["omega_total"] >= 36  # at least the fallback everywhere
+    assert stats["solved"] + stats["pruned"] == stats["restricted_problems"]
+    assert stats["omega_total"] >= stats["solved"]  # at least a fallback per solve
 
 
 def test_global_dominates_every_restricted(trapezoid_a04):
@@ -330,9 +344,105 @@ def test_solver_never_below_oracle_quick(random_suite):
 
 
 def test_parallel_jobs_bitwise_identical(trapezoid_a04):
-    sol1, stats1 = solve_global(trapezoid_a04, trace_res=96, jobs=1)
-    sol2, stats2 = solve_global(trapezoid_a04, trace_res=96, jobs=4)
-    assert sol1.objective == sol2.objective
-    assert sol1.x1 == sol2.x1 and sol1.x2 == sol2.x2
-    assert sol1.covered == sol2.covered
-    assert stats1["omega_total"] == stats2["omega_total"]
+    # suite seed 103 has 406 problems, enough that both pruning and the pool act
+    for inst in (trapezoid_a04, parse_instance(random_instance_doc(103))):
+        sol1, stats1 = solve_global(inst, trace_res=96, jobs=1)
+        sol2, stats2 = solve_global(inst, trace_res=96, jobs=4)
+        assert sol1.objective == sol2.objective
+        assert sol1.x1 == sol2.x1 and sol1.x2 == sol2.x2
+        assert sol1.covered == sol2.covered
+        stats1.pop("runtime_ms")
+        stats2.pop("runtime_ms")
+        assert stats1 == stats2
+        assert stats1["pruned"] > 0
+    assert stats1["solved"] > 4  # seed 103 keeps all four workers busy
+
+
+def _bounds(inst):
+    prep = preprocess_network(inst.network)
+    problems = restricted_problems(inst, prep)
+    return problems, problem_bounds(inst, prep, problems)
+
+
+def test_problem_bounds_are_certified(random_suite, random_suite_sweeps, trapezoid_a04):
+    fixtures = [parse_instance(fig4_doc()), trapezoid_a04]
+    sweeps = random_suite_sweeps + [full_sweep(inst, SUITE_TRACE_RES)[1] for inst in fixtures]
+    for inst, solutions in zip(random_suite + fixtures, sweeps):
+        problems, bounds = _bounds(inst)
+        assert len(bounds) == len(solutions) == len(problems)
+        for rp, sol, bound in zip(problems, solutions, bounds):
+            assert sol.objective <= bound
+            # the oracle shares no code with the bound
+            assert oracle_grid(inst, res=64, rp=rp).objective <= bound
+
+
+def test_stats_cover_the_required_problems(random_suite, random_suite_sweeps):
+    # solved problems are those whose bound beats the optimum, or ties it at
+    # an index up to the winner's; the counters sum over exactly those
+    total = solved = 0
+    for inst, sweep in list(zip(random_suite, random_suite_sweeps))[:8]:
+        sol, stats = solve_global(inst, trace_res=SUITE_TRACE_RES)
+        _, bounds = _bounds(inst)
+        winner = sweep_winner(sweep)
+        required = [
+            s
+            for s, b in zip(sweep, bounds)
+            if b > sol.objective or (b == sol.objective and s.rp_index <= winner.rp_index)
+        ]
+        assert winner.objective == sol.objective
+        assert stats["solved"] == len(required)
+        assert stats["pruned"] == len(sweep) - len(required)
+        for stat, counter in (
+            ("omega_total", "omega"),
+            ("curves", "curves"),
+            ("intersections", "intersections"),
+            ("bound_exceeded", "bound_exceeded"),
+        ):
+            assert stats[stat] == sum(s.counters[counter] for s in required)
+        assert stats["max_curve_pair_intersections"] == max(
+            s.counters["max_curve_pair_intersections"] for s in required
+        )
+        total += len(sweep)
+        solved += len(required)
+    assert solved < total / 4
+
+
+PROBE_OBJECTIVES = {"fig4": 2.0, "seed104": 12.0, "seed107": 25.0}
+PROBE_TRANSFORMS = {
+    "unchanged": {},
+    "scale1e-3": {"scale": 1e-3},
+    "scale1e3": {"scale": 1e3},
+    "scale1e6": {"scale": 1e6},
+    "shift1e6": {"shift": 1e6},
+}
+
+
+def _probe_doc(name):
+    if name == "fig4":
+        return fig4_doc()
+    return random_instance_doc(int(name.removeprefix("seed")))
+
+
+@pytest.mark.parametrize("transform", sorted(PROBE_TRANSFORMS))
+@pytest.mark.parametrize("name", sorted(PROBE_OBJECTIVES))
+def test_global_matches_unpruned_sweep(name, transform):
+    inst = parse_instance(transformed_doc(_probe_doc(name), **PROBE_TRANSFORMS[transform]))
+    sol, _ = solve_global(inst, trace_res=64)
+    assert sol == sweep_solution(inst, *full_sweep(inst, 64))
+    # coordinate scaling and translation leave the optimum unchanged
+    assert sol.objective == PROBE_OBJECTIVES[name]
+
+
+def test_grid3_matches_fine_oracle():
+    inst = parse_instance(grid_instance_doc(3, 8, 30))
+    sol, stats = solve_global(inst, trace_res=128)
+    assert stats["restricted_problems"] == 703
+    assert sol.objective == oracle_grid(inst, res=200).objective
+
+
+@pytest.mark.slow
+def test_grid4_40_pairs_objective():
+    inst = parse_instance(grid_instance_doc(4, 10, 40))
+    sol, stats = solve_global(inst, trace_res=128)
+    assert stats["restricted_problems"] == 5151
+    assert sol.objective == 47.0
