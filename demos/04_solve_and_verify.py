@@ -55,8 +55,8 @@ print(
     f"{stats['runtime_ms']:.0f} ms"
 )
 print(
-    f"branch-and-bound: {stats['solved']} problems solved, "
-    f"{stats['pruned']} pruned by their weight bound, "
+    f"branch-and-bound: solved {stats['solved']} of {stats['restricted_problems']} "
+    f"problems, {stats['pruned']} pruned by their weight bound, "
     f"{stats['omega_total']} candidates evaluated"
 )
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -56,7 +55,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--trace-res", type=int, default=256, help="curve tracing grid cells per axis")
         p.add_argument("--cov-tol", type=float, default=1e-9, help="coverage test slack")
         p.add_argument("--refine-tol", type=float, default=1e-9, help="crossing refinement tolerance")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
 
     p_solve = sub.add_parser("solve", help="solve the two-transfer-point problem")

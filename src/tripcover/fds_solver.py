@@ -15,12 +15,17 @@ optimal point of the restricted problem is assembled from
   nothing is coverable.
 
 The best candidate over all restricted problems solves the full problem.  The
-global solver finds it by branch-and-bound: a certified upper bound on every
-restricted problem's objective (the weight of the pairs whose trip-length
-lower bound, two point-to-segment distances plus ``alpha`` times the least
-network distance on the rectangle, reaches the acceptance level) orders the
-problems, and a problem is solved only while its bound can still beat or tie
-the incumbent.  The answer is the one a full sweep returns.
+global solver finds it by branch-and-bound.  Off the diagonal every branch
+field is separable, ``g(x, y) = u(x) + v(y) + alpha*c0``, where ``u`` and
+``v`` are a facility-to-segment distance plus a linear term, each minimised in
+closed form (``axis_floor``); on the diagonal a weak-duality relaxation of
+``alpha*|x - y|`` reduces the field to the same shape.  The resulting certified
+floor of every field gives an upper bound on every restricted problem's
+objective (the weight of the pairs with a field whose floor reaches the
+acceptance level).  That bound orders the problems, and a problem is solved
+only while its bound can still beat or tie the incumbent; inside a problem the
+same floors skip every field that cannot reach the level.  The answer is the
+one a full sweep returns.
 
 A brute-force grid oracle over edge-pair rectangles provides an independent
 lower bound used for verification; it evaluates network distances directly
@@ -35,7 +40,8 @@ import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -59,6 +65,7 @@ from .mixed_distance import (
     BRANCH_B,
     DEFAULT_COVERAGE_TOL,
     ORIENT_12,
+    ORIENT_21,
     ORIENTATIONS,
     PairDomain,
     coverage_and_objective,
@@ -89,7 +96,8 @@ PROV_CROSS_CURVES = "cross-curves"
 PROV_AUGMENT = "augment"
 PROV_FALLBACK = "fallback"
 
-#: relative rounding allowance of the coverability test in ``problem_bounds``
+#: relative rounding allowance of the floor tests in ``problem_bounds`` and
+#: ``_trace_pair``
 _BOUND_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 
@@ -154,22 +162,165 @@ def restricted_problems(
     return problems
 
 
-def _point_segment_distance(px: float, py: float, geom) -> float:
+def axis_floor(f, geom, c, length):
+    """Certified lower bound on ``min over t in [0, length] of |f - P(t)| + c*t``.
+
+    ``P(t) = geom.origin + t * geom.direction`` traces a segment at speed
+    ``s = |geom.direction|`` (below one when the edge is longer than its
+    chord).  The function is convex and its minimiser has a closed form: the
+    projection of ``f`` onto the line, shifted by ``-c*h / (s*sqrt(s^2 -
+    c^2))`` where ``h`` is the distance of ``f`` from the line, or the
+    endpoint the linear term favours when ``|c| >= s``; clamped to the
+    interval.  The value returned is the tangent floor at that point,
+    ``u(t) + min(u'(t) * (0 - t), u'(t) * (length - t))``, which bounds ``u``
+    from below on the whole interval for any ``t``, so rounding in the
+    minimiser costs tightness, never validity.  Where ``f`` lies on the
+    segment's line the subgradient nearest ``-c`` stands in for ``u'``.
+    When ``|c| < s`` the floor is raised to the minimum over the whole line,
+    ``c*t0 + h*sqrt(s^2 - c^2)/s`` with ``t0`` the projection, which is exact
+    whenever the minimiser is inside the interval and, unlike the tangent,
+    stays tight when ``f`` is within rounding of the segment.
+
+    Every argument broadcasts: ``f`` is an ``(x, y)`` pair and ``geom``
+    anything with ``origin`` and ``direction`` pairs, of floats or arrays.
+    """
+
+    fx, fy = f
     ox, oy = geom.origin
     dx, dy = geom.direction
-    denom = dx * dx + dy * dy
-    if denom <= 0.0:
-        t = 0.0
-    else:
-        t = min(max(((px - ox) * dx + (py - oy) * dy) / denom, 0.0), geom.length)
-    return math.hypot(px - (ox + t * dx), py - (oy + t * dy))
+    c = np.asarray(c, dtype=float)
+    length = np.asarray(length, dtype=float)
+    ex, ey = fx - ox, fy - oy
+    s2 = dx * dx + dy * dy
+    s = np.sqrt(s2)
+    safe_s = np.where(s2 > 0.0, s, 1.0)
+    t0 = (ex * dx + ey * dy) / np.where(s2 > 0.0, s2, 1.0)
+    h = np.abs(ex * dy - ey * dx) / safe_s
+    interior = c * c < s2
+    lean = c * h / (safe_s * np.sqrt(np.where(interior, s2 - c * c, 1.0)))
+    t = np.clip(np.where(interior, t0 - lean, np.where(c > 0.0, 0.0, length)), 0.0, length)
+    # the slope comes from the projection coordinates, not from the rounded
+    # vector f - P(t), which has no direction left where f is on the segment
+    delta = t - t0
+    rho = np.hypot(s * delta, h)
+    pull = np.where(rho > 0.0, s2 * delta / np.where(rho > 0.0, rho, 1.0), np.clip(-c, -s, s))
+    slope = pull + c
+    r = np.hypot(ox + dx * t - fx, oy + dy * t - fy)
+    tangent = r + c * t + np.minimum(slope * -t, slope * (length - t))
+    # near the kink (f almost on the segment) a rounding of t swings the
+    # slope; the minimum over the whole line does not depend on t at all
+    line = c * t0 + h * np.sqrt(np.where(interior, s2 - c * c, 0.0)) / safe_s
+    return np.where(interior, np.maximum(tangent, line), tangent)
 
 
-def _min_network_distance(pc) -> float:
-    if pc.diagonal:
-        return 0.0
-    corners = [(0.0, 0.0), (pc.len_p, 0.0), (0.0, pc.len_q), (pc.len_p, pc.len_q)]
-    return min(min(f(x, y) for x, y in corners) for f in pc.forms)
+def _diagonal_multipliers(alpha: float) -> np.ndarray:
+    # lam = alpha turns the relaxation into the sum of the two separate
+    # facility-to-segment minima, so the best over the set is never looser
+    return np.union1d(np.linspace(0.0, 1.0 + alpha, 9), [alpha])
+
+
+def _floor_table(inst: ProblemInstance, geoms: Sequence) -> np.ndarray:
+    """``axis_floor`` of every facility on every segment, per coefficient.
+
+    Axis 0 follows ``inst.facilities`` and axis 1 ``geoms``.  Axis 2 holds
+    the coefficients ``alpha`` and ``-alpha`` of the affine network forms,
+    then ``lam - alpha`` and ``alpha - lam`` for every diagonal multiplier
+    ``lam``.
+    """
+
+    shift = _diagonal_multipliers(inst.alpha) - inst.alpha
+    coef = np.concatenate(([inst.alpha, -inst.alpha], shift, -shift))
+    facility = np.array([(f.position.x, f.position.y) for f in inst.facilities]).reshape(-1, 2)
+    segment = np.array([(*g.origin, *g.direction, g.length) for g in geoms])
+    ox, oy, dx, dy, length = segment.T[:, None, :, None]
+    lines = SimpleNamespace(origin=(ox, oy), direction=(dx, dy))
+    return axis_floor(facility.T[:, :, None, None], lines, coef, length)
+
+
+def _pair_floors(
+    inst: ProblemInstance, table: np.ndarray, classes: Sequence, p: np.ndarray, q: np.ndarray
+) -> Iterator[dict[str, np.ndarray]]:
+    """Floor of every branch field over its rectangle, pair by pair.
+
+    ``classes`` are the problems' pair classes and ``p``/``q`` the columns of
+    their two segments in ``table``.  Yields one dict per pair, in pair
+    order, mapping each boarding order to a ``(problems, 2)`` array: branches
+    ``a`` and ``b``, the single field of a type 2 or diagonal problem filling
+    both.  Off the diagonal a field is ``u(x) + v(y) + alpha*c0``, each axis
+    term a distance plus ``alpha*cx*x`` or ``alpha*cy*y``, so its floor is
+    the sum of two axis floors.  On the diagonal, adding ``lam*(x - y) <= 0``
+    on the triangle ``x <= y`` (``lam*(y - x)`` on ``x >= y``) for any
+    ``lam >= 0`` leaves a separable lower bound; the floor is the lesser
+    triangle's best bound over the multipliers.
+    """
+
+    diagonal = np.array([pc.diagonal for pc in classes], dtype=bool)
+    affine = np.flatnonzero(~diagonal)
+    coeffs = np.fromiter(
+        (v for k in affine for f in (classes[k].forms * 2)[:2] for v in (f.c0, f.cx, f.cy)),
+        dtype=float,
+        count=6 * len(affine),
+    ).reshape(-1, 2, 3)
+    c0 = inst.alpha * coeffs[..., 0]
+    # column 0 of the table holds coefficient +alpha, column 1 -alpha
+    kx, ky = ((1 - coeffs[..., 1:]) // 2).astype(int).transpose(2, 0, 1)
+    p_affine = p[affine, None]
+    q_affine = q[affine, None]
+    m = (table.shape[2] - 2) // 2
+    up = table[:, p[diagonal], 2 : 2 + m]  # coefficient lam - alpha
+    down = table[:, p[diagonal], 2 + m :]  # coefficient alpha - lam
+    row = inst.facility_index
+    for pair in inst.pairs:
+        a, b = row[pair.origin], row[pair.dest]
+        floors = {}
+        for orientation, fp, fq in ((ORIENT_12, a, b), (ORIENT_21, b, a)):
+            out = np.empty((len(classes), 2))
+            out[affine] = table[fp, p_affine, kx] + table[fq, q_affine, ky] + c0
+            out[diagonal] = np.minimum(
+                (up[fp] + down[fq]).max(axis=1), (down[fp] + up[fq]).max(axis=1)
+            )[:, None]
+            floors[orientation] = out
+        yield floors
+
+
+def field_floors(inst: ProblemInstance, rp: RestrictedProblem) -> list[dict[str, np.ndarray]]:
+    """Certified floor of every branch field of every pair on one problem.
+
+    One dict per pair, mapping each boarding order to the floors of branches
+    ``a`` and ``b`` over the rectangle; the single field of a type 2 or
+    diagonal problem fills both.
+    """
+
+    table = _floor_table(inst, [rp.domain.geom_p, rp.domain.geom_q])
+    pc = rp.domain.pair_class
+    return [
+        {orientation: f[0] for orientation, f in floors.items()}
+        for floors in _pair_floors(inst, table, [pc], np.array([0]), np.array([1]))
+    ]
+
+
+def _rounding_scale(inst: ProblemInstance) -> float:
+    """Magnitude that bounds every coordinate and every network distance term."""
+
+    points = [v.position for v in inst.network.vertices]
+    points += [f.position for f in inst.facilities]
+    lengths = [e.length for e in inst.network.edges]
+    return max(
+        max(max(abs(pt.x), abs(pt.y)) for pt in points),
+        sum(lengths) + 2.0 * max(lengths),
+    )
+
+
+def _exceeds(floor, level: float, scale: float):
+    """Whether a trip-length floor certifiably exceeds ``level``.
+
+    The allowance, a fixed multiple of the machine epsilon times the largest
+    of the floor, the level and the instance scale, covers the rounding of
+    the trip lengths that the coverage test and the fields evaluate.
+    """
+
+    allowance = _BOUND_ROUNDING * np.maximum(np.maximum(np.abs(floor), level), scale)
+    return floor > level + allowance
 
 
 def _refine_minimum(field, rect, x0: float, y0: float) -> tuple[float, float]:
@@ -194,14 +345,18 @@ def _trace_pair(
     inst: ProblemInstance,
     rp: RestrictedProblem,
     pair: ODPair,
+    floors: Mapping[str, np.ndarray],
+    scale: float,
     trace_res: int,
     trace_tol: float,
 ) -> _PairCurves:
     """Trace the nonempty boundary curves of one pair on one rectangle.
 
-    Cheap certified bounds prune most fields before any grid is sampled: the
-    field minimum is at least the two point-to-segment distances plus the
-    scaled distance minimum, and a convex field attains its maximum over the
+    Cheap certified bounds prune most fields before any grid is sampled.  A
+    field whose floor (``floors[orientation][k]`` for its ``k``-th branch,
+    from ``field_floors``) exceeds the level plus the minimiser test's
+    ``1e-12`` and the rounding allowance can yield neither a minimiser
+    candidate nor a curve.  A convex field attains its maximum over the
     rectangle at a corner, so a corner maximum below the level certifies an
     empty boundary.
     """
@@ -209,9 +364,6 @@ def _trace_pair(
     pc = rp.domain.pair_class
     level = pair.acceptance
     w, h = rp.rect
-    a = inst.facility_position(pair.origin)
-    b = inst.facility_position(pair.dest)
-    d_min = _min_network_distance(pc)
     branches = (BRANCH_A, BRANCH_B) if (pc.kind == TYPE1 and not pc.diagonal) else (BRANCH_A,)
     corners_x = np.array([0.0, w, 0.0, w])
     corners_y = np.array([0.0, 0.0, h, h])
@@ -220,15 +372,9 @@ def _trace_pair(
 
     out = _PairCurves({}, [], [])
     for orientation in ORIENTATIONS:
-        if orientation == ORIENT_12:
-            legs = _point_segment_distance(a.x, a.y, rp.domain.geom_p)
-            legs += _point_segment_distance(b.x, b.y, rp.domain.geom_q)
-        else:
-            legs = _point_segment_distance(a.x, a.y, rp.domain.geom_q)
-            legs += _point_segment_distance(b.x, b.y, rp.domain.geom_p)
-        if legs + inst.alpha * d_min > level:
-            continue
-        for branch in branches:
+        for k, branch in enumerate(branches):
+            if _exceeds(floors[orientation][k], level + 1e-12, scale):
+                continue
             field = branch_field(inst, rp.domain, pair, orientation, branch)
             if float(np.max(field(corners_x, corners_y))) <= level:
                 continue  # rectangle entirely inside the sublevel set
@@ -371,9 +517,11 @@ def solve_restricted(
         "max_curve_pair_intersections": 0,
         "bound_exceeded": 0,
     }
+    floors = field_floors(inst, rp)
+    scale = _rounding_scale(inst)
     bundles: dict[int, _PairCurves] = {}
     for pi, pair in enumerate(inst.pairs):
-        bundle = _trace_pair(inst, rp, pair, trace_res, trace_tol)
+        bundle = _trace_pair(inst, rp, pair, floors[pi], scale, trace_res, trace_tol)
         bundles[pi] = bundle
         counters["curves"] += len(bundle.curves)
 
@@ -463,52 +611,37 @@ def problem_bounds(
 ) -> list[float]:
     """Certified upper bound on the objective of every restricted problem.
 
-    On a problem, a pair's trip length in either boarding order is at least
-    the distance from its origin to the boarding segment, plus the distance
-    from the exit segment to its destination, plus ``alpha`` times the least
-    network distance over the rectangle (attained at a corner, since every
-    distance form is affine).  The bound is the weight of the pairs for which
-    that lower bound, in one of the two orders, is within ``acceptance +
-    cov_tol`` plus a rounding allowance.  The allowance, a fixed multiple of
-    the machine epsilon times the largest of the lower bound, the acceptance
-    level and the instance's coordinate and network-length scale, covers the
-    rounding of the trip lengths the coverage test evaluates, so no pair that
-    test would count is left out.  Weights are summed in pair order, as
+    On a problem, a pair's trip length is the least of its branch fields in
+    both boarding orders, so it is at least the least of their floors over
+    the rectangle (``_pair_floors``, from one facility × segment ×
+    coefficient table of ``axis_floor`` values, indexed for all problems at
+    once).  The bound is the weight of
+    the pairs whose floor is within ``acceptance + cov_tol`` plus a rounding
+    allowance (see ``_exceeds``), so no pair that the coverage test would
+    count is left out.  Weights are summed in pair order, as
     ``coverage_weights`` and ``coverage_and_objective`` sum them, so the bound
     is at least every objective of the problem in floating point too.
     """
 
-    net = inst.network
-    segments = prep.segments
-    column = {seg: k for k, seg in enumerate(segments)}
-    geoms = [segment_geometry(net, seg) for seg in segments]
-    leg = {
-        f.id: np.array(
-            [_point_segment_distance(f.position.x, f.position.y, g) for g in geoms]
-        )
-        for f in inst.facilities
-    }
-    p_col = np.array([column[rp.seg_p] for rp in problems], dtype=int)
-    q_col = np.array([column[rp.seg_q] for rp in problems], dtype=int)
-    ride = inst.alpha * np.array(
-        [_min_network_distance(rp.domain.pair_class) for rp in problems]
+    column = {seg: k for k, seg in enumerate(prep.segments)}
+    table = _floor_table(
+        inst, [segment_geometry(inst.network, seg) for seg in prep.segments]
     )
-    points = [v.position for v in net.vertices] + [f.position for f in inst.facilities]
-    scale = max(
-        max(max(abs(p.x), abs(p.y)) for p in points),
-        float(prep.dist.max()) + 2.0 * max(e.length for e in net.edges),
+    floors = _pair_floors(
+        inst,
+        table,
+        [rp.domain.pair_class for rp in problems],
+        np.array([column[rp.seg_p] for rp in problems], dtype=int),
+        np.array([column[rp.seg_q] for rp in problems], dtype=int),
     )
+    scale = _rounding_scale(inst)
 
     bounds = np.zeros(len(problems))
-    for pair in inst.pairs:
-        a = leg[pair.origin]
-        b = leg[pair.dest]
-        lb = np.minimum(
-            a[p_col] + b[q_col] + ride,
-            a[q_col] + b[p_col] + ride,
-        )
-        margin = _BOUND_ROUNDING * np.maximum(np.maximum(lb, pair.acceptance), scale)
-        bounds += pair.weight * (lb <= pair.acceptance + cov_tol + margin)
+    for pair, pair_floors in zip(inst.pairs, floors):
+        f12 = pair_floors[ORIENT_12]
+        f21 = pair_floors[ORIENT_21]
+        lb = np.minimum(np.minimum(f12[:, 0], f12[:, 1]), np.minimum(f21[:, 0], f21[:, 1]))
+        bounds += pair.weight * ~_exceeds(lb, pair.acceptance + cov_tol, scale)
     return bounds.tolist()
 
 
