@@ -15,8 +15,8 @@ import numpy as np
 
 from tripcover import parse_instance
 from tripcover.fds_solver import restricted_problems
-from tripcover.level_curves import branch_field, curves_to_csv, trace_level_curve
-from tripcover.mixed_distance import path_length
+from tripcover.level_curves import curves_to_csv, trace_level_curve
+from tripcover.mixed_distance import branch_field, path_length
 from tripcover.preprocess import preprocess_network
 
 S6 = 2 * math.sqrt(6)
@@ -52,24 +52,20 @@ for r, x in enumerate(ticks):
     print(f"x={x:4.1f} " + "  ".join(f"{v:6.3f}" for v in h[r]))
 print("note the ridge along x + y = 5 where the two routings tie")
 
-print("\nlevel curve sizes per branch (number of polyline vertices):")
+print("\nlevel curves per branch: explicit arcs y(x), and where they meet the rectangle")
 for level in (8.0, 9.0, 10.0, 11.0):
-    sizes = []
+    parts = []
     for branch in ("a", "b"):
         field = branch_field(instance, rp.domain, pair, "12", branch)
-        curve = trace_level_curve(field, level, rp.rect, 128)
-        sizes.append(curve.vertex_count())
-    print(f"  level {level:5.2f}: branch a -> {sizes[0]:4d} vertices, branch b -> {sizes[1]:4d}")
+        curve = trace_level_curve(field, level, 128)
+        parts.append(f"branch {branch} -> {len(curve.arcs)} arcs, {len(curve.boundary)} boundary hits")
+    print(f"  level {level:5.2f}: " + ", ".join(parts))
 
 # export one family to CSV for external plotting
 curves = []
 for branch in ("a", "b"):
     field = branch_field(instance, rp.domain, pair, "12", branch)
-    curves.append(
-        trace_level_curve(
-            field, 10.0, rp.rect, 256, pair=(0, 1), orientation="12", branch=branch
-        )
-    )
+    curves.append(trace_level_curve(field, 10.0, 256))
 out = pathlib.Path(__file__).parent / "level_curves_demo.csv"
 out.write_text(curves_to_csv(curves))
 print(f"\nwrote the level-10 branch curves to {out.name}")

@@ -5,8 +5,10 @@ bounded by level curves of the per-branch travel lengths; an optimal transfer
 placement can always be found among (a) crossings of one pair's two branch
 curves, (b) crossings between different pairs' curves, (c) curve endpoints on
 the rectangle boundary, corners and branch minimizers, or (d) an arbitrary
-fallback when nothing is coverable.  This demo traces the curves, shows the
-crossing counts, and solves the restricted problem.
+fallback when nothing is coverable.  Each curve is a set of explicit arcs
+y(x), so a crossing is a bisected root of the gap between two arcs.  This demo
+traces the curves, shows the crossing counts, and solves the restricted
+problem.
 """
 
 import math
@@ -18,7 +20,8 @@ from tripcover.fds_solver import (
     restricted_problems,
     solve_restricted,
 )
-from tripcover.level_curves import branch_field, trace_level_curve
+from tripcover.level_curves import trace_level_curve
+from tripcover.mixed_distance import branch_field
 from tripcover.preprocess import preprocess_network
 
 S6 = 2 * math.sqrt(6)
@@ -58,11 +61,7 @@ def trace_curves(inst, rp):
         for orientation in ("12", "21"):
             for branch in ("a", "b"):
                 field = branch_field(inst, rp.domain, pair, orientation, branch)
-                curve = trace_level_curve(
-                    field, pair.acceptance, rp.rect, 256,
-                    pair=(pair.origin, pair.dest),
-                    orientation=orientation, branch=branch,
-                )
+                curve = trace_level_curve(field, pair.acceptance, 256)
                 if not curve.empty:
                     store[(orientation, branch)] = curve
         by_pair[(pair.origin, pair.dest)] = store

@@ -2,40 +2,11 @@
 total weight of origin/destination pairs preferring the mixed route is
 maximized."""
 
-from .fds_solver import (
-    FdsSolution,
-    OracleResult,
-    RestrictedProblem,
-    cross_pair_candidates,
-    evaluate_point_pair,
-    network_point_distance,
-    oracle_grid,
-    pair_candidates,
-    restricted_problems,
-    solve_global,
-    solve_restricted,
-)
-from .level_curves import (
-    LevelCurve,
-    branch_field,
-    curves_to_csv,
-    intersect_curves,
-    rectangle_boundary_points,
-    trace_level_curve,
-)
-from .mixed_distance import (
-    PairDomain,
-    coverage_and_objective,
-    network_distance,
-    pair_domain,
-    path_length,
-    trip_length,
-)
+from .fds_solver import OracleResult, oracle_grid, solve_global
 from .model import (
     InstanceFormatError,
     Network,
     NetworkPoint,
-    ODPair,
     ProblemInstance,
     Solution,
     ValidationReport,
@@ -45,17 +16,6 @@ from .model import (
     save_instance,
     serialize_instance,
     validate_instance,
-)
-from .preprocess import (
-    DisconnectedNetworkError,
-    LinearArcSegment,
-    PairClass,
-    all_pairs_shortest_paths,
-    arc_bottleneck_points,
-    classify_segment_pair,
-    linear_arc_segments,
-    preprocess_instance,
-    preprocess_network,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command-line front end: solve, oracle, preprocess, curves and evaluate.
 
 Exit status contract: 0 on success, 1 when the instance fails validation (the
-report is printed) or a selector matches nothing, 2 on I/O errors.  All
-configuration is explicit flags; the environment is intentionally ignored so
-identical invocations reproduce identical results.
+report is printed), a parameter is out of range or a selector matches
+nothing, 2 on I/O errors.  All configuration is explicit flags; the
+environment is intentionally ignored so identical invocations reproduce
+identical results.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from .fds_solver import (
     restricted_problems,
     solve_global,
 )
-from .level_curves import branch_field, curves_to_csv, trace_level_curve
-from .mixed_distance import BRANCH_A, BRANCH_B, ORIENTATIONS
+from .level_curves import curves_to_csv, trace_level_curve
+from .mixed_distance import BRANCH_A, BRANCH_B, ORIENTATIONS, branch_field
 from .model import (
-    InstanceFormatError,
     NetworkPoint,
     ProblemInstance,
     load_instance,
@@ -52,9 +52,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--instance", required=True, help="instance JSON document")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--grid-res", type=int, default=200, help="oracle grid points per axis")
-        p.add_argument("--trace-res", type=int, default=256, help="curve tracing grid cells per axis")
+        p.add_argument("--trace-res", type=int, default=256, help="samples per curve arc")
         p.add_argument("--cov-tol", type=float, default=1e-9, help="coverage test slack")
-        p.add_argument("--refine-tol", type=float, default=1e-9, help="crossing refinement tolerance")
+        p.add_argument("--refine-tol", type=float, default=1e-9, help="crossing bisection tolerance")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
 
@@ -135,7 +135,7 @@ def _cmd_solve(args) -> int:
         trace_res=args.trace_res,
         cov_tol=args.cov_tol,
         refine_tol=args.refine_tol,
-        jobs=max(args.jobs, 1),
+        jobs=args.jobs,
     )
     if not args.timing:
         # runtime varies run to run; omit it so identical invocations
@@ -257,26 +257,16 @@ def _cmd_curves(args) -> int:
         for orientation in ORIENTATIONS:
             for branch in branches:
                 field = branch_field(inst, dom, pair, orientation, branch)
-                curves.append(
-                    trace_level_curve(
-                        field,
-                        pair.acceptance,
-                        dom.rect,
-                        args.trace_res,
-                        pair=(pair.origin, pair.dest),
-                        orientation=orientation,
-                        branch=branch,
-                    )
-                )
+                curves.append(trace_level_curve(field, pair.acceptance, args.trace_res))
     if args.format == "json":
         doc = {
             "segments": [sp, sq],
             "curves": [
                 {
-                    "pair_i": c.pair[0],
-                    "pair_j": c.pair[1],
-                    "orientation": c.orientation,
-                    "branch": c.branch,
+                    "pair_i": c.field.pair[0],
+                    "pair_j": c.field.pair[1],
+                    "orientation": c.field.orientation,
+                    "branch": c.field.branch,
                     "level": c.level,
                     "polylines": [poly.tolist() for poly in c.polylines],
                 }
@@ -339,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
             raise _UsageError("csv output is only available for the curves subcommand")
         try:
             return _COMMANDS[args.command](args)
-        except InstanceFormatError as exc:
+        except ValueError as exc:  # a malformed instance or a parameter out of range
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except OSError as exc:

@@ -1,31 +1,38 @@
 """Finite-dominating-set construction and the two-transfer-point solver.
 
 Every pair of linear arc segments induces a restricted problem over its
-parameter rectangle.  A finite candidate set that is guaranteed to contain an
-optimal point of the restricted problem is assembled from
+parameter rectangle; a same-segment (diagonal) problem is solved on the
+triangle ``x <= y`` only, as swapping the coordinates swaps the boarding
+orders and leaves coverage unchanged.  A finite candidate set that is
+guaranteed to contain an optimal point of the restricted problem is
+assembled from
 
 * crossings of the two branch boundary curves of each O/D pair (or a
   representative point per nonempty curve when the branches do not cross),
 * crossings between the boundary curves of every two distinct O/D pairs,
-* rectangle-boundary endpoints of every traced curve, the four rectangle
-  corners and the refined minimizer of every traced branch field (these guard
-  against sublevel regions clipped by the rectangle or thinner than the trace
-  grid), and
+* the points where every traced curve meets the domain boundary, the four
+  rectangle corners and the minimiser of every field whose minimum reaches
+  its level (these guard against sublevel regions clipped by the domain or
+  met by no other curve), and
 * one fallback point distinct from everything else, which is optimal whenever
   nothing is coverable.
 
+Each branch field is separable, ``g(x, y) = u(x) + v(y) + alpha*c0`` with
+``u`` and ``v`` a facility-to-segment distance plus a linear term, so its
+minimiser, level curve, boundary points and crossings are exact 1-D
+computations (``level_curves``).
+
 The best candidate over all restricted problems solves the full problem.  The
-global solver finds it by branch-and-bound.  Off the diagonal every branch
-field is separable, ``g(x, y) = u(x) + v(y) + alpha*c0``, where ``u`` and
-``v`` are a facility-to-segment distance plus a linear term, each minimised in
-closed form (``axis_floor``); on the diagonal a weak-duality relaxation of
-``alpha*|x - y|`` reduces the field to the same shape.  The resulting certified
-floor of every field gives an upper bound on every restricted problem's
-objective (the weight of the pairs with a field whose floor reaches the
-acceptance level).  That bound orders the problems, and a problem is solved
-only while its bound can still beat or tie the incumbent; inside a problem the
-same floors skip every field that cannot reach the level.  The answer is the
-one a full sweep returns.
+global solver finds it by branch-and-bound.  Off the diagonal a field's floor
+over its rectangle is the sum of two closed-form axis floors
+(``axis_floor``); on the diagonal a weak-duality relaxation of ``alpha*|x -
+y|`` over the whole rectangle reduces the field to the same shape.  These
+certified floors give an upper bound on every restricted problem's objective
+(the weight of the pairs with a field whose floor reaches the acceptance
+level).  That bound orders the problems, and a problem is solved only while
+its bound can still beat or tie the incumbent; inside a problem the same
+floors skip every field that cannot reach the level.  The answer is the one a
+full sweep returns.
 
 A brute-force grid oracle over edge-pair rectangles provides an independent
 lower bound used for verification; it evaluates network distances directly
@@ -44,22 +51,21 @@ from types import SimpleNamespace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .level_curves import (
     DEFAULT_DEDUPE_RADIUS,
     DEFAULT_REFINE_TOL,
     DEFAULT_TRACE_RES,
-    DEFAULT_TRACE_TOL,
+    MIN_TRACE_RES,
     IntersectionPoint,
     LevelCurve,
     _dedupe_points,
-    branch_field,
     intersect_curves,
-    rectangle_boundary_points,
-    sample_grid,
+    minimize,
     trace_level_curve,
 )
+# bench/spans.py traces the arc sampler under this name; the solver samples no arc
+from .level_curves import sample_arc as sample_grid  # noqa: F401
 from .mixed_distance import (
     BRANCH_A,
     BRANCH_B,
@@ -68,9 +74,12 @@ from .mixed_distance import (
     ORIENT_21,
     ORIENTATIONS,
     PairDomain,
+    axis_argmin,
+    branch_field,
     coverage_and_objective,
     coverage_weights,
     pair_domain,
+    project,
     segment_geometry,
 )
 from .model import (
@@ -167,11 +176,8 @@ def axis_floor(f, geom, c, length):
 
     ``P(t) = geom.origin + t * geom.direction`` traces a segment at speed
     ``s = |geom.direction|`` (below one when the edge is longer than its
-    chord).  The function is convex and its minimiser has a closed form: the
-    projection of ``f`` onto the line, shifted by ``-c*h / (s*sqrt(s^2 -
-    c^2))`` where ``h`` is the distance of ``f`` from the line, or the
-    endpoint the linear term favours when ``|c| >= s``; clamped to the
-    interval.  The value returned is the tangent floor at that point,
+    chord).  The function is convex and ``axis_argmin`` gives its minimiser
+    in closed form.  The value returned is the tangent floor at that point,
     ``u(t) + min(u'(t) * (0 - t), u'(t) * (length - t))``, which bounds ``u``
     from below on the whole interval for any ``t``, so rounding in the
     minimiser costs tightness, never validity.  Where ``f`` lies on the
@@ -190,15 +196,10 @@ def axis_floor(f, geom, c, length):
     dx, dy = geom.direction
     c = np.asarray(c, dtype=float)
     length = np.asarray(length, dtype=float)
-    ex, ey = fx - ox, fy - oy
-    s2 = dx * dx + dy * dy
-    s = np.sqrt(s2)
-    safe_s = np.where(s2 > 0.0, s, 1.0)
-    t0 = (ex * dx + ey * dy) / np.where(s2 > 0.0, s2, 1.0)
-    h = np.abs(ex * dy - ey * dx) / safe_s
+    t0, h, s = project(f, geom)
+    s2 = s * s
     interior = c * c < s2
-    lean = c * h / (safe_s * np.sqrt(np.where(interior, s2 - c * c, 1.0)))
-    t = np.clip(np.where(interior, t0 - lean, np.where(c > 0.0, 0.0, length)), 0.0, length)
+    t = axis_argmin(t0, h, s, c, length)
     # the slope comes from the projection coordinates, not from the rounded
     # vector f - P(t), which has no direction left where f is on the segment
     delta = t - t0
@@ -209,7 +210,7 @@ def axis_floor(f, geom, c, length):
     tangent = r + c * t + np.minimum(slope * -t, slope * (length - t))
     # near the kink (f almost on the segment) a rounding of t swings the
     # slope; the minimum over the whole line does not depend on t at all
-    line = c * t0 + h * np.sqrt(np.where(interior, s2 - c * c, 0.0)) / safe_s
+    line = c * t0 + h * np.sqrt(np.where(interior, s2 - c * c, 0.0)) / np.where(s2 > 0.0, s, 1.0)
     return np.where(interior, np.maximum(tangent, line), tangent)
 
 
@@ -323,17 +324,6 @@ def _exceeds(floor, level: float, scale: float):
     return floor > level + allowance
 
 
-def _refine_minimum(field, rect, x0: float, y0: float) -> tuple[float, float]:
-    res = minimize(
-        lambda p: float(field(p[0], p[1])),
-        np.array([x0, y0]),
-        method="Nelder-Mead",
-        bounds=[(0.0, rect[0]), (0.0, rect[1])],
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
-    )
-    return float(res.x[0]), float(res.x[1])
-
-
 @dataclass
 class _PairCurves:
     curves: dict[tuple[str, str], LevelCurve]
@@ -348,27 +338,22 @@ def _trace_pair(
     floors: Mapping[str, np.ndarray],
     scale: float,
     trace_res: int,
-    trace_tol: float,
 ) -> _PairCurves:
-    """Trace the nonempty boundary curves of one pair on one rectangle.
+    """Trace the nonempty boundary curves of one pair on one domain.
 
-    Cheap certified bounds prune most fields before any grid is sampled.  A
-    field whose floor (``floors[orientation][k]`` for its ``k``-th branch,
+    A field whose floor (``floors[orientation][k]`` for its ``k``-th branch,
     from ``field_floors``) exceeds the level plus the minimiser test's
     ``1e-12`` and the rounding allowance can yield neither a minimiser
     candidate nor a curve.  A convex field attains its maximum over the
-    rectangle at a corner, so a corner maximum below the level certifies an
-    empty boundary.
+    domain at a corner, so a corner maximum below the level certifies an
+    empty boundary.  Otherwise the closed-form minimiser is a candidate when
+    its value is within ``1e-12`` of the level, and the curve exists when
+    the minimum is below it.
     """
 
     pc = rp.domain.pair_class
     level = pair.acceptance
-    w, h = rp.rect
     branches = (BRANCH_A, BRANCH_B) if (pc.kind == TYPE1 and not pc.diagonal) else (BRANCH_A,)
-    corners_x = np.array([0.0, w, 0.0, w])
-    corners_y = np.array([0.0, 0.0, h, h])
-    # margin below which a grid minimum may hide a sublevel dip between samples
-    cell_margin = 2.0 * (w + h) / trace_res
 
     out = _PairCurves({}, [], [])
     for orientation in ORIENTATIONS:
@@ -376,34 +361,19 @@ def _trace_pair(
             if _exceeds(floors[orientation][k], level + 1e-12, scale):
                 continue
             field = branch_field(inst, rp.domain, pair, orientation, branch)
-            if float(np.max(field(corners_x, corners_y))) <= level:
-                continue  # rectangle entirely inside the sublevel set
-            grid = sample_grid(field, rp.rect, trace_res)
-            values = grid[2]
-            flat = int(np.argmin(values))
-            gi, gj = np.unravel_index(flat, values.shape)
-            gmin = float(values[gi, gj])
-            if gmin <= level + cell_margin:
-                mx, my = _refine_minimum(field, rp.rect, grid[0][gi], grid[1][gj])
-                if float(field(mx, my)) <= level + 1e-12:
-                    out.minimizers.append((mx, my))
-            if gmin >= level:
-                continue  # no sign change on the grid, nothing to trace
-            curve = trace_level_curve(
-                field,
-                level,
-                rp.rect,
-                trace_res,
-                trace_tol=trace_tol,
-                grid=grid,
-                pair=(pair.origin, pair.dest),
-                orientation=orientation,
-                branch=branch,
-            )
+            if max(float(field(x, y)) for x, y in field.corners) <= level:
+                continue  # domain entirely inside the sublevel set
+            mx, my = minimize(field)
+            low = float(field(mx, my))
+            if low <= level + 1e-12:
+                out.minimizers.append((mx, my))
+            if low >= level:
+                continue  # the sublevel set has no interior, nothing to trace
+            curve = trace_level_curve(field, level, trace_res)
             if curve.empty:
                 continue
             out.curves[(orientation, branch)] = curve
-            out.boundary.extend(rectangle_boundary_points(curve))
+            out.boundary.extend(curve.boundary)
     return out
 
 
@@ -502,7 +472,6 @@ def solve_restricted(
     trace_res: int = DEFAULT_TRACE_RES,
     cov_tol: float = DEFAULT_COVERAGE_TOL,
     refine_tol: float = DEFAULT_REFINE_TOL,
-    trace_tol: float = DEFAULT_TRACE_TOL,
 ) -> FdsSolution:
     """Assemble the candidate set of one restricted problem and pick its best.
 
@@ -521,7 +490,7 @@ def solve_restricted(
     scale = _rounding_scale(inst)
     bundles: dict[int, _PairCurves] = {}
     for pi, pair in enumerate(inst.pairs):
-        bundle = _trace_pair(inst, rp, pair, floors[pi], scale, trace_res, trace_tol)
+        bundle = _trace_pair(inst, rp, pair, floors[pi], scale, trace_res)
         bundles[pi] = bundle
         counters["curves"] += len(bundle.curves)
 
@@ -714,7 +683,6 @@ def solve_global(
     trace_res: int = DEFAULT_TRACE_RES,
     cov_tol: float = DEFAULT_COVERAGE_TOL,
     refine_tol: float = DEFAULT_REFINE_TOL,
-    trace_tol: float = DEFAULT_TRACE_TOL,
     jobs: int = 1,
 ) -> tuple[Solution, dict]:
     """Solve the full problem by branch-and-bound over the restricted problems.
@@ -733,9 +701,21 @@ def solve_global(
     ``max_curve_pair_intersections``, ``bound_exceeded``) are summed over
     them alone, so the stats do not depend on ``jobs``.  ``pruned`` counts the
     rest.
+
+    Raises ``ValueError``, before any work, unless ``trace_res >= 16``,
+    ``cov_tol`` is finite and nonnegative, ``refine_tol`` is finite and
+    positive and ``jobs >= 1``, or when the instance fails validation.
     """
 
     started = time.perf_counter()
+    for ok, name, need, value in (
+        (trace_res >= MIN_TRACE_RES, "trace_res", f">= {MIN_TRACE_RES}", trace_res),
+        (math.isfinite(cov_tol) and cov_tol >= 0, "cov_tol", "finite and >= 0", cov_tol),
+        (math.isfinite(refine_tol) and refine_tol > 0, "refine_tol", "finite and > 0", refine_tol),
+        (jobs >= 1, "jobs", ">= 1", jobs),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {need}, got {value}")
     report = validate_instance(inst)
     if not report.is_valid:
         raise ValueError(f"invalid instance:\n{report}")
@@ -744,9 +724,7 @@ def solve_global(
     problems = restricted_problems(inst, prep)
     bounds = problem_bounds(inst, prep, problems, cov_tol)
     order = sorted(range(len(problems)), key=lambda k: (-bounds[k], k))
-    params = dict(
-        trace_res=trace_res, cov_tol=cov_tol, refine_tol=refine_tol, trace_tol=trace_tol
-    )
+    params = dict(trace_res=trace_res, cov_tol=cov_tol, refine_tol=refine_tol)
     results: dict[int, FdsSolution] = {}
     if jobs > 1 and len(problems) > 1:
         best = _search_pool(inst, problems, order, bounds, params, jobs, results)
@@ -923,6 +901,10 @@ def oracle_grid(
     }
     best_value = -1.0
     best_points: tuple[NetworkPoint, NetworkPoint] | None = None
+    # per-pair work writes into these, so its cost does not hinge on how the
+    # allocator recycles res x res temporaries
+    f12 = np.empty((res, res))
+    f21 = np.empty((res, res))
     for ei in range(len(net.edges)):
         ps = np.linspace(0.0, net.edges[ei].length, res)
         pxs, pys = _edge_positions(net, ei, ps)
@@ -930,6 +912,7 @@ def oracle_grid(
             qs = np.linspace(0.0, net.edges[ej].length, res)
             qxs, qys = _edge_positions(net, ej, qs)
             dgrid = edge_pair_distance(net, dist, ei, ej, ps[:, None], qs[None, :])
+            network = inst.alpha * dgrid
             total = np.zeros_like(dgrid)
             for pair in inst.pairs:
                 ax, ay = facilities[pair.origin]
@@ -938,10 +921,9 @@ def oracle_grid(
                 b_q = np.hypot(bx - qxs, by - qys)
                 a_q = np.hypot(ax - qxs, ay - qys)
                 b_p = np.hypot(bx - pxs, by - pys)
-                f12 = a_p[:, None] + inst.alpha * dgrid + b_q[None, :]
-                f21 = a_q[None, :] + inst.alpha * dgrid + b_p[:, None]
-                covered = np.minimum(f12, f21) <= pair.acceptance + cov_tol
-                total += pair.weight * covered
+                np.add(np.add(a_p[:, None], network, out=f12), b_q[None, :], out=f12)
+                np.add(np.add(a_q[None, :], network, out=f21), b_p[:, None], out=f21)
+                total[np.minimum(f12, f21, out=f12) <= pair.acceptance + cov_tol] += pair.weight
             value = float(total.max())
             if value > best_value:
                 flat = int(np.argmax(total))

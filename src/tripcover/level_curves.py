@@ -1,377 +1,175 @@
-"""Numerical tracing and intersection of trip-length level curves.
+"""Exact level curves of the separable trip-length fields.
 
-For a fixed O/D pair, boarding order and branch routing, the trip length
-
-    g(x, y) = |A_i - X1(x)| + alpha * d_branch(x, y) + |X2(y) - A_j|
-
-is a convex field over the parameter rectangle (sum of convex planar legs and
-an affine, or convex, network term).  The boundary of the sublevel set
-``g <= level`` is extracted as a polyline by marching squares over a sample
-grid, with every emitted vertex refined along its grid edge by bisection.
-Candidate points for the solver come from crossing two such polylines and
-polishing each crossing with a damped two-dimensional Newton iteration on the
-pair of level residuals.
+Every branch field is ``g(x, y) = u(x) + v(y) + k0`` with convex axis terms
+(``mixed_distance.SeparableField``), each with a closed-form minimiser and a
+closed-form inverse on each of its monotone sides.  So the field minimum,
+the level curve ``g = level`` as explicit arcs ``y = v⁻¹(level - k0 -
+u(x))``, the points where it meets the domain boundary and the crossings of
+two curves are all 1-D computations.  A diagonal problem's field lives on
+the triangle ``x <= y``, whose third side ``x = y`` the curve meets where the
+convex ``u(t) + v(t)`` reaches the level.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .mixed_distance import BRANCH_B, ORIENT_12, PairDomain, SegmentGeometry
-from .model import ODPair, ProblemInstance
-from .preprocess import TYPE1, AffineForm
+from .mixed_distance import SeparableField
 
 DEFAULT_TRACE_RES = 256
-DEFAULT_TRACE_TOL = 1e-10
 DEFAULT_REFINE_TOL = 1e-9
 DEFAULT_DEDUPE_RADIUS = 1e-7
+MIN_TRACE_RES = 16
 
 #: two distinct convex boundary curves of this family cross at most this many
-#: times; exceeding it signals polyline artifacts and triggers a re-trace
+#: times; more surviving crossings flag a defect in the crossing search
 CURVE_PAIR_CROSSING_BOUND = 12
 
-_MIN_RES = 16
+# a bisection stops after this many halvings even above its tolerance: a
+# bracket of adjacent floats cannot shrink, and 2**-100 of any bracket is tiny
+_BISECT_STEPS = 100
 
-# cell case -> connected edge pairs; edges named B(ottom), R(ight), T(op),
-# L(eft); corner bit k set means corner k is inside the sublevel set, corners
-# ordered (i,j), (i+1,j), (i+1,j+1), (i,j+1)
-_CASE_SEGMENTS: dict[int, list[tuple[str, str]]] = {
-    1: [("L", "B")],
-    2: [("B", "R")],
-    3: [("L", "R")],
-    4: [("R", "T")],
-    6: [("B", "T")],
-    7: [("L", "T")],
-    8: [("T", "L")],
-    9: [("B", "T")],
-    11: [("R", "T")],
-    12: [("L", "R")],
-    13: [("B", "R")],
-    14: [("L", "B")],
-}
+
+def _bisect(f: Callable, lo, hi, tol: float):
+    """Shrink the brackets ``[lo, hi]`` of sign changes of ``f`` (``f >= 0``
+    counting as positive) until each is at most ``tol`` wide with ``|f| <=
+    tol`` at its midpoint, or cannot shrink any more."""
+
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lo_above = f(lo) >= 0.0
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        at_mid = f(mid)
+        if np.all(((hi - lo <= tol) & (np.abs(at_mid) <= tol)) | (mid == lo) | (mid == hi)):
+            break
+        move = (at_mid >= 0.0) == lo_above
+        lo, hi = np.where(move, mid, lo), np.where(move, hi, mid)
+    return lo, hi
+
+
+def minimize(field: SeparableField) -> tuple[float, float]:
+    """Closed-form minimiser of a field over its domain: ``(argmin u, argmin
+    v)``, or on a triangle that excludes that point, the minimiser of the
+    convex ``u(t) + v(t)`` on ``x = y``."""
+
+    x, y = field.u.argmin, field.v.argmin
+    if field.triangle and x > y:
+        return field.diagonal_argmin, field.diagonal_argmin
+    return x, y
 
 
 @dataclass(frozen=True)
-class PathLengthField:
-    """Vectorized evaluator of one (pair, orientation, branch) trip length."""
+class Arc:
+    """Level-curve piece ``y = v⁻¹(target - u(x))``, ``x0 <= x <= x1``, on one
+    monotone side of ``v``."""
 
-    access: tuple[float, float]
-    egress: tuple[float, float]
-    alpha: float
-    form: AffineForm | None  # None -> |x - y| network term
-    geom_p: SegmentGeometry
-    geom_q: SegmentGeometry
-    pair: tuple[int, int]
-    orientation: str
-    branch: str
+    field: SeparableField
+    target: float
+    side: int
+    x0: float
+    x1: float
 
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        px, py = self.geom_p.position(x)
-        qx, qy = self.geom_q.position(y)
-        if self.form is None:
-            d = np.abs(x - y)
-        else:
-            d = self.form(x, y)
-        if self.orientation == ORIENT_12:
-            leg_in = np.hypot(self.access[0] - px, self.access[1] - py)
-            leg_out = np.hypot(qx - self.egress[0], qy - self.egress[1])
-        else:
-            leg_in = np.hypot(self.access[0] - qx, self.access[1] - qy)
-            leg_out = np.hypot(px - self.egress[0], py - self.egress[1])
-        return leg_in + self.alpha * d + leg_out
+    def __call__(self, x):
+        return self.field.v.inverse(self.target - self.field.u(x), self.side)
 
 
-def branch_field(
-    inst: ProblemInstance,
-    dom: PairDomain,
-    pair: ODPair,
-    orientation: str,
-    branch: str,
-) -> PathLengthField:
-    """Field for one branch routing of one pair and boarding order."""
+def sample_arc(arc: Arc, res: int) -> np.ndarray:
+    """The arc at ``res + 1`` evenly spaced abscissae, as a ``(res + 1, 2)`` array."""
 
-    pc = dom.pair_class
-    if pc.diagonal:
-        form = None
-    elif pc.kind == TYPE1 and branch == BRANCH_B:
-        form = pc.forms[1]
-    else:
-        form = pc.forms[0]
-    a = inst.facility_position(pair.origin)
-    b = inst.facility_position(pair.dest)
-    return PathLengthField(
-        access=(a.x, a.y),
-        egress=(b.x, b.y),
-        alpha=inst.alpha,
-        form=form,
-        geom_p=dom.geom_p,
-        geom_q=dom.geom_q,
-        pair=(pair.origin, pair.dest),
-        orientation=orientation,
-        branch=branch,
-    )
+    xs = np.linspace(arc.x0, arc.x1, res + 1)
+    return np.column_stack((xs, arc(xs)))
 
 
 @dataclass
 class LevelCurve:
-    """Polyline approximation of one level set boundary inside a rectangle.
+    """The level set ``field = level`` in the field's domain: its ``arcs``, the
+    points where it meets the domain ``boundary``, and ``polylines`` sampling
+    every arc at ``res + 1`` abscissae for export."""
 
-    ``polylines`` holds (k, 2) vertex arrays; closed loops repeat their first
-    vertex at the end.  The evaluator is kept so crossings can be polished and
-    the curve re-traced at a finer resolution.
-    """
-
-    field: Callable
+    field: SeparableField
     level: float
-    rect: tuple[float, float]
     res: int
-    polylines: list[np.ndarray]
-    trace_tol: float = DEFAULT_TRACE_TOL
-    pair: tuple[int, int] | None = None
-    orientation: str | None = None
-    branch: str | None = None
+    arcs: list[Arc]
+    boundary: list[tuple[float, float]]
 
     @property
     def empty(self) -> bool:
-        return not self.polylines
+        return not self.arcs
 
-    def vertex_count(self) -> int:
-        return sum(len(p) for p in self.polylines)
-
-
-def sample_grid(
-    field: Callable, rect: tuple[float, float], res: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Field values on the (res+1) x (res+1) sample grid of the rectangle."""
-
-    xs = np.linspace(0.0, rect[0], res + 1)
-    ys = np.linspace(0.0, rect[1], res + 1)
-    values = np.asarray(field(xs[:, None], ys[None, :]), dtype=float)
-    if values.shape != (res + 1, res + 1):
-        values = np.broadcast_to(values, (res + 1, res + 1)).copy()
-    return xs, ys, values
+    @cached_property
+    def polylines(self) -> list[np.ndarray]:
+        return [sample_arc(arc, self.res) for arc in self.arcs]
 
 
-def _bisect_on_edges(
-    field: Callable,
-    p_neg: np.ndarray,
-    p_pos: np.ndarray,
-    level: float,
-    tol: float,
-    max_iter: int = 100,
-) -> np.ndarray:
-    """Vectorized bisection for the level crossing on a batch of grid edges.
+def _diagonal_hits(field: SeparableField, target: float) -> list[float]:
+    """Every ``t`` with ``u(t) + v(t) = target``, one per monotone side."""
 
-    ``p_neg``/``p_pos`` are (n, 2) endpoint arrays with field value below and
-    not-below the level respectively.
-    """
+    def excess(t):
+        return field.u(t) + field.v(t) - target
 
-    lo = p_neg.astype(float).copy()
-    hi = p_pos.astype(float).copy()
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        s = np.asarray(field(mid[:, 0], mid[:, 1]), dtype=float) - level
-        if np.all(np.abs(s) < tol):
-            break
-        below = s < 0.0
-        lo[below] = mid[below]
-        hi[~below] = mid[~below]
-        mid = 0.5 * (lo + hi)
-    return mid
+    m, length = field.diagonal_argmin, field.u.length
+    sides = [
+        (lo, hi)
+        for lo, hi, end in ((0.0, m, 0.0), (m, length, length))
+        if excess(m) < 0.0 <= excess(end)
+    ]
+    if not sides:
+        return []
+    lo, hi = _bisect(excess, *zip(*sides), 0.0)
+    return [float(t) for t in 0.5 * (lo + hi)]
 
 
 def trace_level_curve(
-    field: Callable,
-    level: float,
-    rect: tuple[float, float],
-    res: int = DEFAULT_TRACE_RES,
-    *,
-    trace_tol: float = DEFAULT_TRACE_TOL,
-    grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    pair: tuple[int, int] | None = None,
-    orientation: str | None = None,
-    branch: str | None = None,
+    field: SeparableField, level: float, res: int = DEFAULT_TRACE_RES
 ) -> LevelCurve:
-    """Extract the level set boundary of a scalar field as polylines.
+    """The level curve ``field = level`` as explicit arcs.
 
-    Marching squares over a ``res`` x ``res`` cell grid finds the sign-change
-    cells; each crossing vertex is refined along its grid edge by bisection
-    until the field residual drops below ``trace_tol``.  Saddle cells are
-    disambiguated with a centre sample.  The output is empty when the level
-    does not cross the field's range over the rectangle.
-
-    Raises ``ValueError`` for ``res`` below 16, a negative level, or a
-    non-finite field value.
+    On each monotone side of ``v`` that is not a single point, the curve lies
+    over ``{x : v_min <= target - u(x) <= v(edge)}`` with ``edge`` the side's
+    end of ``[0, h]``: the sublevel interval of ``u`` at ``target - v_min``
+    minus the one at ``target - v(edge)``.  Boundary hits are roots of ``u``
+    on the bottom and top edges and of ``v`` on the left and right ones.  On a
+    triangle, arcs are cut where ``u(t) + v(t) = target`` and kept where ``y
+    >= x``.  Raises ``ValueError`` for ``res`` below 16 or a negative or
+    non-finite level.
     """
 
-    if res < _MIN_RES:
-        raise ValueError(f"trace resolution must be >= {_MIN_RES}, got {res}")
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    if grid is None:
-        xs, ys, values = sample_grid(field, rect, res)
-    else:
-        xs, ys, values = grid
-        res = len(xs) - 1
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field produced a non-finite value on the sample grid")
+    if res < MIN_TRACE_RES:
+        raise ValueError(f"trace resolution must be >= {MIN_TRACE_RES}, got {res}")
+    if not (math.isfinite(level) and level >= 0):
+        raise ValueError(f"level must be finite and nonnegative, got {level}")
+    u, v = field.u, field.v
+    w, h = field.rect
+    target = level - field.k0
 
-    def make(polylines: list[np.ndarray]) -> LevelCurve:
-        return LevelCurve(
-            field=field,
-            level=level,
-            rect=rect,
-            res=res,
-            polylines=polylines,
-            trace_tol=trace_tol,
-            pair=pair,
-            orientation=orientation,
-            branch=branch,
-        )
-
-    inside = values < level
-    if not inside.any() or inside.all():
-        return make([])
-
-    cell = (
-        inside[:-1, :-1].astype(np.int8)
-        + 2 * inside[1:, :-1]
-        + 4 * inside[1:, 1:]
-        + 8 * inside[:-1, 1:]
-    )
-    active = np.argwhere((cell > 0) & (cell < 15))
-    if active.size == 0:
-        return make([])
-
-    # resolve saddle cells with one centre sample per ambiguous cell
-    ambiguous = [(i, j) for i, j in active if cell[i, j] in (5, 10)]
-    centre_inside: dict[tuple[int, int], bool] = {}
-    if ambiguous:
-        cx = np.array([0.5 * (xs[i] + xs[i + 1]) for i, _ in ambiguous])
-        cy = np.array([0.5 * (ys[j] + ys[j + 1]) for _, j in ambiguous])
-        cvals = np.asarray(field(cx, cy), dtype=float)
-        centre_inside = {
-            (i, j): bool(v < level) for (i, j), v in zip(ambiguous, cvals)
-        }
-
-    def cell_edges(i: int, j: int) -> dict[str, tuple[int, int, int]]:
-        # edge keys: (0, i, j) horizontal between grid (i,j)-(i+1,j),
-        #            (1, i, j) vertical   between grid (i,j)-(i,j+1)
-        return {
-            "B": (0, i, j),
-            "T": (0, i, j + 1),
-            "L": (1, i, j),
-            "R": (1, i + 1, j),
-        }
-
-    segments: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = []
-    for i, j in active:
-        c = int(cell[i, j])
-        edges = cell_edges(int(i), int(j))
-        if c in (5, 10):
-            centre_in = centre_inside[(int(i), int(j))]
-            if c == 5:
-                pairs = (
-                    [("B", "R"), ("T", "L")] if centre_in else [("L", "B"), ("R", "T")]
-                )
-            else:
-                pairs = (
-                    [("L", "B"), ("R", "T")] if centre_in else [("B", "R"), ("T", "L")]
-                )
-        else:
-            pairs = _CASE_SEGMENTS[c]
-        for a, b in pairs:
-            segments.append((edges[a], edges[b]))
-
-    # refine every crossing key once, in one vectorized bisection batch
-    keys = sorted({k for seg in segments for k in seg})
-    p0 = np.empty((len(keys), 2))
-    p1 = np.empty((len(keys), 2))
-    neg0 = np.empty(len(keys), dtype=bool)
-    for n, (kind, i, j) in enumerate(keys):
-        if kind == 0:
-            p0[n] = (xs[i], ys[j])
-            p1[n] = (xs[i + 1], ys[j])
-            neg0[n] = inside[i, j]
-        else:
-            p0[n] = (xs[i], ys[j])
-            p1[n] = (xs[i], ys[j + 1])
-            neg0[n] = inside[i, j]
-    p_neg = np.where(neg0[:, None], p0, p1)
-    p_pos = np.where(neg0[:, None], p1, p0)
-    refined = _bisect_on_edges(field, p_neg, p_pos, level, trace_tol)
-    vertex = {k: refined[n] for n, k in enumerate(keys)}
-
-    # stitch cell segments into chains; every crossing key touches at most
-    # two segments, so chains are simple paths or loops
-    adjacency: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    used: set[frozenset] = set()
-
-    def walk(start: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-        chain = [start]
-        current = start
-        while True:
-            step = None
-            for nxt in adjacency[current]:
-                key = frozenset((current, nxt))
-                if key not in used:
-                    step = nxt
-                    used.add(key)
-                    break
-            if step is None:
-                return chain
-            chain.append(step)
-            current = step
-
-    polylines: list[np.ndarray] = []
-    open_ends = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    consumed: set[tuple[int, int, int]] = set()
-    for start in open_ends:
-        if start in consumed:
+    outer = u.sublevel(target - v.minimum)
+    arcs = []
+    for side, edge in ((0, 0.0), (1, h)):
+        if outer is None or v.argmin == edge:
             continue
-        chain = walk(start)
-        consumed.update(chain)
-        if len(chain) > 1:
-            polylines.append(np.array([vertex[k] for k in chain]))
-    for start in sorted(adjacency):
-        pending = [
-            nxt for nxt in adjacency[start] if frozenset((start, nxt)) not in used
-        ]
-        if not pending:
-            continue
-        chain = walk(start)
-        if len(chain) > 1:
-            polylines.append(np.array([vertex[k] for k in chain]))
+        inner = u.sublevel(target - v(edge))
+        pieces = [outer] if inner is None else [(outer[0], inner[0]), (inner[1], outer[1])]
+        arcs += [Arc(field, target, side, a, b) for a, b in pieces if b > a]
 
-    return make(polylines)
-
-
-def rectangle_boundary_points(
-    curve: LevelCurve, tol: float = 1e-9
-) -> list[tuple[float, float]]:
-    """Endpoints of open polylines that land on the rectangle boundary."""
-
-    w, h = curve.rect
-    points = []
-    for poly in curve.polylines:
-        for vx, vy in (poly[0], poly[-1]):
-            on_boundary = (
-                abs(vx) <= tol or abs(vx - w) <= tol or abs(vy) <= tol or abs(vy - h) <= tol
-            )
-            if on_boundary:
-                points.append((float(vx), float(vy)))
-    return points
+    boundary = [(x, y) for y in (0.0, h) for x in u.solve(target - v(y))]
+    boundary += [(x, y) for x in (0.0, w) for y in v.solve(target - u(x))]
+    if field.triangle and arcs:
+        cuts = _diagonal_hits(field, target)
+        boundary = [(x, y) for x, y in boundary if x <= y] + [(t, t) for t in cuts]
+        clipped = []
+        for arc in arcs:
+            ends = [arc.x0] + sorted(t for t in cuts if arc.x0 < t < arc.x1) + [arc.x1]
+            for a, b in zip(ends, ends[1:]):
+                if arc((a + b) / 2) >= (a + b) / 2:
+                    clipped.append(replace(arc, x0=a, x1=b))
+        arcs = clipped
+    return LevelCurve(field, level, res, arcs, boundary if arcs else [])
 
 
 @dataclass(frozen=True)
@@ -386,9 +184,11 @@ class IntersectionPoint:
 class IntersectionSet:
     """Deduplicated crossing points of two level curves.
 
-    ``residual`` per point is the worse of the two level mismatches;
-    ``bound_exceeded`` flags a curve pair still producing more crossings than
-    the structural bound after the fallback re-trace.
+    ``residual`` per point is the worse of the two level mismatches, and
+    ``refined`` says whether its bisection reached the tolerance.
+    ``bound_exceeded`` flags more crossings than two such curves can have.
+    ``retraced`` is always False, as exact arcs leave no coarse trace to
+    redo; it stays because the benchmark's tracer reads it.
     """
 
     points: list[IntersectionPoint]
@@ -397,107 +197,6 @@ class IntersectionSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def _polyline_segments(curve: LevelCurve) -> tuple[np.ndarray, np.ndarray]:
-    starts, ends = [], []
-    for poly in curve.polylines:
-        if len(poly) > 1:
-            starts.append(poly[:-1])
-            ends.append(poly[1:])
-    if not starts:
-        return np.empty((0, 2)), np.empty((0, 2))
-    return np.vstack(starts), np.vstack(ends)
-
-
-def _segment_crossings(curve1: LevelCurve, curve2: LevelCurve) -> np.ndarray:
-    """Raw crossing points of the two polyline families, (n, 2)."""
-
-    s1, e1 = _polyline_segments(curve1)
-    s2, e2 = _polyline_segments(curve2)
-    if len(s1) == 0 or len(s2) == 0:
-        return np.empty((0, 2))
-
-    lo1 = np.minimum(s1, e1)[:, None, :]
-    hi1 = np.maximum(s1, e1)[:, None, :]
-    lo2 = np.minimum(s2, e2)[None, :, :]
-    hi2 = np.maximum(s2, e2)[None, :, :]
-    pad = 1e-12
-    overlap = np.all((lo1 <= hi2 + pad) & (lo2 <= hi1 + pad), axis=2)
-    idx1, idx2 = np.nonzero(overlap)
-    if idx1.size == 0:
-        return np.empty((0, 2))
-
-    a = s1[idx1]
-    d1 = e1[idx1] - a
-    b = s2[idx2]
-    d2 = e2[idx2] - b
-    denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    scale = np.maximum(
-        np.abs(d1).max(axis=1) * np.abs(d2).max(axis=1), np.finfo(float).tiny
-    )
-    good = np.abs(denom) > 1e-14 * scale
-    if not good.any():
-        return np.empty((0, 2))
-    a, d1, b, d2, denom = a[good], d1[good], b[good], d2[good], denom[good]
-    rel = b - a
-    t = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / denom
-    u = (rel[:, 0] * d1[:, 1] - rel[:, 1] * d1[:, 0]) / denom
-    hit = (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-    return a[hit] + t[hit, None] * d1[hit]
-
-
-def _refine_crossing(
-    point: np.ndarray,
-    curve1: LevelCurve,
-    curve2: LevelCurve,
-    tol: float,
-    max_iter: int = 40,
-) -> IntersectionPoint:
-    """Damped Newton iteration on the two level residuals, clamped to the rect."""
-
-    w, h = curve1.rect
-
-    def residuals(p):
-        r1 = float(curve1.field(p[0], p[1])) - curve1.level
-        r2 = float(curve2.field(p[0], p[1])) - curve2.level
-        return np.array([r1, r2])
-
-    p = np.clip(point, [0.0, 0.0], [w, h])
-    r = residuals(p)
-    best_p, best_r = p.copy(), float(np.max(np.abs(r)))
-    step_h = 1e-7 * (1.0 + max(w, h))
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return IntersectionPoint(float(p[0]), float(p[1]), float(np.max(np.abs(r))), True)
-        jac = np.empty((2, 2))
-        for col, delta in enumerate(((step_h, 0.0), (0.0, step_h))):
-            plus = np.clip(p + delta, [0.0, 0.0], [w, h])
-            minus = np.clip(p - delta, [0.0, 0.0], [w, h])
-            span = plus - minus
-            denom = span[col] if span[col] != 0 else step_h
-            jac[:, col] = (residuals(plus) - residuals(minus)) / denom
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
-            break
-        accepted = False
-        for _ in range(10):
-            cand = np.clip(p - step, [0.0, 0.0], [w, h])
-            r_cand = residuals(cand)
-            if np.max(np.abs(r_cand)) < np.max(np.abs(r)):
-                p, r = cand, r_cand
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        if np.max(np.abs(r)) < best_r:
-            best_p, best_r = p.copy(), float(np.max(np.abs(r)))
-    if best_r < tol:
-        return IntersectionPoint(float(best_p[0]), float(best_p[1]), best_r, True)
-    # non-convergence: keep the best point seen, flagged unrefined
-    return IntersectionPoint(float(best_p[0]), float(best_p[1]), best_r, False)
 
 
 def _dedupe_points(
@@ -537,59 +236,48 @@ def intersect_curves(
     *,
     dedupe_radius: float = DEFAULT_DEDUPE_RADIUS,
     bound: int = CURVE_PAIR_CROSSING_BOUND,
-    _allow_retrace: bool = True,
 ) -> IntersectionSet:
-    """All crossing points of two traced curves over the same rectangle.
+    """All crossing points of two curves over the same domain.
 
-    Crossings of the polyline segments are polished by a damped Newton
-    iteration on both level residuals and deduplicated within
-    ``dedupe_radius``.  More than ``bound`` surviving points are treated as a
-    tracing artifact: both curves are re-traced at doubled resolution and the
-    intersection recomputed once.
+    For every two arcs whose x-ranges overlap, ``y1(x) - y2(x)`` is sampled at
+    ``res + 1`` points of the overlap and each sign change bisected until the
+    x-bracket and the gap at its midpoint are both within ``refine_tol``; the
+    crossing is that midpoint, at the mean of the two ordinates.  A point is
+    ``refined`` when the bisection got there.  Points within
+    ``dedupe_radius`` are merged.
     """
 
-    if curve1.rect != curve2.rect:
+    if curve1.field.rect != curve2.field.rect:
         raise ValueError("curves live on different parameter rectangles")
-    raw = _segment_crossings(curve1, curve2)
-    refined = [
-        _refine_crossing(p, curve1, curve2, refine_tol) for p in raw
-    ]
-    points = _dedupe_points(refined, dedupe_radius)
-    result = IntersectionSet(points)
-    if len(points) > bound and _allow_retrace:
-        finer1 = trace_level_curve(
-            curve1.field,
-            curve1.level,
-            curve1.rect,
-            curve1.res * 2,
-            trace_tol=curve1.trace_tol,
-            pair=curve1.pair,
-            orientation=curve1.orientation,
-            branch=curve1.branch,
-        )
-        finer2 = trace_level_curve(
-            curve2.field,
-            curve2.level,
-            curve2.rect,
-            curve2.res * 2,
-            trace_tol=curve2.trace_tol,
-            pair=curve2.pair,
-            orientation=curve2.orientation,
-            branch=curve2.branch,
-        )
-        result = intersect_curves(
-            finer1,
-            finer2,
-            refine_tol,
-            dedupe_radius=dedupe_radius,
-            bound=bound,
-            _allow_retrace=False,
-        )
-        result.retraced = True
-        result.bound_exceeded = len(result.points) > bound
-    elif len(points) > bound:
-        result.bound_exceeded = True
-    return result
+    found = []
+    for arc1 in curve1.arcs:
+        for arc2 in curve2.arcs:
+            lo, hi = max(arc1.x0, arc2.x0), min(arc1.x1, arc2.x1)
+            if hi <= lo:
+                continue
+
+            def gap(x):
+                return arc1(x) - arc2(x)
+
+            xs = np.linspace(lo, hi, max(curve1.res, curve2.res) + 1)
+            above = gap(xs) >= 0.0
+            k = np.flatnonzero(above[:-1] != above[1:])
+            if k.size == 0:
+                continue
+            a, b = _bisect(gap, xs[k], xs[k + 1], refine_tol)
+            x = 0.5 * (a + b)
+            y1, y2 = arc1(x), arc2(x)
+            y = 0.5 * (y1 + y2)
+            residual = np.maximum(
+                np.abs(curve1.field(x, y) - curve1.level), np.abs(curve2.field(x, y) - curve2.level)
+            )
+            refined = (b - a <= refine_tol) & (np.abs(y1 - y2) <= refine_tol)
+            found += [
+                IntersectionPoint(float(px), float(py), float(r), bool(ok))
+                for px, py, r, ok in zip(x, y, residual, refined)
+            ]
+    points = _dedupe_points(found, dedupe_radius)
+    return IntersectionSet(points, bound_exceeded=len(points) > bound)
 
 
 def curves_to_csv(curves: Iterable[LevelCurve]) -> str:
@@ -602,11 +290,11 @@ def curves_to_csv(curves: Iterable[LevelCurve]) -> str:
     out = io.StringIO()
     out.write("pair_i,pair_j,orientation,branch,polyline_id,vertex_index,x,y\n")
     for curve in curves:
-        pi, pj = curve.pair if curve.pair is not None else ("", "")
+        f = curve.field
         for poly_id, poly in enumerate(curve.polylines):
             for k, (x, y) in enumerate(poly):
                 out.write(
-                    f"{pi},{pj},{curve.orientation or ''},{curve.branch or ''},"
+                    f"{f.pair[0]},{f.pair[1]},{f.orientation},{f.branch},"
                     f"{poly_id},{k},{float(x)!r},{float(y)!r}\n"
                 )
     return out.getvalue()

@@ -22,8 +22,8 @@ from tripcover.fds_solver import (
     oracle_grid,
     solve_global,
 )
-from tripcover.level_curves import branch_field, trace_level_curve
-from tripcover.mixed_distance import network_distance
+from tripcover.level_curves import trace_level_curve
+from tripcover.mixed_distance import branch_field, network_distance
 from tripcover.preprocess import (
     TYPE1,
     all_pairs_shortest_paths,
@@ -114,11 +114,7 @@ def _fig4_curves(inst, rp, trace_res=256):
         for orientation in ("12", "21"):
             for branch in ("a", "b"):
                 field = branch_field(inst, rp.domain, pair, orientation, branch)
-                curve = trace_level_curve(
-                    field, pair.acceptance, rp.rect, trace_res,
-                    pair=(pair.origin, pair.dest),
-                    orientation=orientation, branch=branch,
-                )
+                curve = trace_level_curve(field, pair.acceptance, trace_res)
                 if not curve.empty:
                     store[(orientation, branch)] = curve
         by_pair[(pair.origin, pair.dest)] = store

@@ -70,6 +70,16 @@ def test_solve_invalid_instance_exit1_names_invariant(files):
     assert "alpha not in (0,1)" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--trace-res", "8", "trace_res"), ("--cov-tol", "nan", "cov_tol"), ("--jobs", "0", "jobs")],
+)
+def test_solve_parameter_out_of_range_exit1(files, flag, value, name):
+    proc = run_cli("solve", "--instance", str(files["fig2"]), flag, value)
+    assert proc.returncode == 1
+    assert name in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_flag_exit1_with_usage(files):
     proc = run_cli("solve", "--instance", str(files["fig2"]), "--frobnicate")
     assert proc.returncode == 1
@@ -207,3 +217,11 @@ def test_jobs_produce_byte_identical_documents(files):
     assert run_cli(*base, "--jobs", "1", "--out", str(out1)).returncode == 0
     assert run_cli(*base, "--jobs", "2", "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_import_leaves_scipy_out():
+    # the solver needs numpy only; scipy's import alone cost half a second
+    code = "import sys, tripcover.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -20,8 +20,14 @@ from tripcover.fds_solver import (
     solve_global,
     solve_restricted,
 )
-from tripcover.level_curves import branch_field, trace_level_curve
-from tripcover.mixed_distance import SegmentGeometry, coverage_and_objective, coverage_weights
+from tripcover.level_curves import trace_level_curve
+from tripcover.mixed_distance import (
+    SegmentGeometry,
+    branch_field,
+    coverage_and_objective,
+    coverage_weights,
+    path_length,
+)
 from tripcover.model import network_point
 from tripcover.preprocess import preprocess_network
 from conftest import (
@@ -69,15 +75,7 @@ def trace_all(inst, rp, trace_res=256):
         for orientation in ("12", "21"):
             for branch in branches:
                 field = branch_field(inst, rp.domain, pair, orientation, branch)
-                curve = trace_level_curve(
-                    field,
-                    pair.acceptance,
-                    rp.rect,
-                    trace_res,
-                    pair=(pair.origin, pair.dest),
-                    orientation=orientation,
-                    branch=branch,
-                )
+                curve = trace_level_curve(field, pair.acceptance, trace_res)
                 if not curve.empty:
                     store[(orientation, branch)] = curve
         by_pair[(pair.origin, pair.dest)] = store
@@ -486,8 +484,9 @@ def test_diagonal_floor_bounds_the_field(doc):
     ts = np.linspace(0.0, rp.rect[0], 301)
     floors = field_floors(inst, rp)
     for orientation in ("12", "21"):
-        field = branch_field(inst, rp.domain, pair, orientation, "a")
-        sampled = float(field(ts[:, None], ts[None, :]).min())
+        # the floor covers both triangles, where the field is defined on one
+        lengths = path_length(inst, rp.domain, pair, ts[:, None], ts[None, :], orientation)
+        sampled = float(lengths.min())
         floor = float(floors[0][orientation][0])
         assert floor <= sampled + 1e-12
         assert floor >= separate - 1e-12  # never looser, up to rounding
@@ -512,8 +511,12 @@ def test_field_floors_bound_every_field(seed, transform):
         for pi, pair in enumerate(inst.pairs):
             for orientation in ("12", "21"):
                 for k, branch in enumerate(branches):
-                    field = branch_field(inst, rp.domain, pair, orientation, branch)
-                    sampled = float(field(xs, ys).min())
+                    if pc.diagonal:  # both triangles; the field covers x <= y only
+                        lengths = path_length(inst, rp.domain, pair, xs, ys, orientation)
+                        sampled = float(lengths.min())
+                    else:
+                        field = branch_field(inst, rp.domain, pair, orientation, branch)
+                        sampled = float(field(xs, ys).min())
                     assert floors[pi][orientation][k] <= sampled + allowance
 
 
@@ -574,6 +577,71 @@ def test_global_matches_unpruned_sweep(name, transform):
     assert sol.objective == PROBE_OBJECTIVES[name]
 
 
+@pytest.mark.parametrize(
+    "param",
+    [
+        {"trace_res": 0},
+        {"trace_res": 15},
+        {"cov_tol": math.nan},
+        {"cov_tol": math.inf},
+        {"cov_tol": -1e-9},
+        {"refine_tol": -1.0},
+        {"refine_tol": 0.0},
+        {"refine_tol": math.nan},
+        {"jobs": 0},
+        {"jobs": -3},
+    ],
+)
+def test_solver_parameters_checked_before_any_work(param, monkeypatch):
+    # unchecked, a NaN cov_tol covers nothing: fig4 would report 0 against its optimum 2
+    import tripcover.fds_solver as fds
+
+    def refuse(inst):
+        raise AssertionError("work started before the parameters were checked")
+
+    monkeypatch.setattr(fds, "validate_instance", refuse)
+    with pytest.raises(ValueError, match=next(iter(param))):
+        solve_global(parse_instance(fig4_doc()), **param)
+
+
+def relabelled_doc(doc: dict, seed: int) -> dict:
+    """``doc`` reflected through one or both axes, with permuted vertex and
+    facility ids and shuffled pairs: the same problem, presented differently."""
+
+    rng = np.random.default_rng(seed)
+    sx, sy = [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)][seed % 3]
+
+    def relabel(rows):
+        return dict(zip((r["id"] for r in rows), rng.permutation(len(rows)).tolist()))
+
+    def point(row, ids):
+        return {**row, "id": ids[row["id"]], "x": sx * row["x"], "y": sy * row["y"]}
+
+    vid, fid = relabel(doc["vertices"]), relabel(doc["facilities"])
+    pairs = [{**p, "i": fid[p["i"]], "j": fid[p["j"]]} for p in doc["pairs"]]
+    return {
+        **doc,
+        "vertices": [point(v, vid) for v in doc["vertices"]],
+        "edges": [{**e, "u": vid[e["u"]], "w": vid[e["w"]]} for e in doc["edges"]],
+        "facilities": [point(f, fid) for f in doc["facilities"]],
+        "pairs": [pairs[k] for k in rng.permutation(len(pairs))],
+    }
+
+
+@pytest.mark.parametrize("name", ["fig4", "seed103", "seed120"])
+def test_relabelling_leaves_objective_and_stats_unchanged(name):
+    doc = fig4_doc() if name == "fig4" else random_instance_doc(int(name.removeprefix("seed")))
+    sol, stats = solve_global(parse_instance(doc), trace_res=SUITE_TRACE_RES)
+    stats.pop("runtime_ms")
+    for seed in (1, 2, 3):
+        other, other_stats = solve_global(
+            parse_instance(relabelled_doc(doc, seed)), trace_res=SUITE_TRACE_RES
+        )
+        other_stats.pop("runtime_ms")
+        assert other.objective == sol.objective
+        assert other_stats == stats
+
+
 def test_grid3_matches_fine_oracle():
     inst = parse_instance(grid_instance_doc(3, 8, 30))
     sol, stats = solve_global(inst, trace_res=128)
@@ -587,3 +655,10 @@ def test_grid4_40_pairs_objective():
     sol, stats = solve_global(inst, trace_res=128)
     assert stats["restricted_problems"] == 5151
     assert sol.objective == 47.0
+
+
+@pytest.mark.slow
+def test_grid5_60_pairs_reaches_the_oracle():
+    inst = parse_instance(grid_instance_doc(5, 15, 60))
+    sol, _ = solve_global(inst, trace_res=128)
+    assert sol.objective >= oracle_grid(inst, res=200).objective
