@@ -43,35 +43,45 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# options that only some commands read; each command takes just its own
+_OPTIONS = {
+    "--grid-res": dict(type=int, default=200, help="oracle grid points per axis"),
+    "--trace-res": dict(type=int, default=256, help="samples per curve arc"),
+    "--cov-tol": dict(type=float, default=1e-9, help="coverage test slack"),
+    "--refine-tol": dict(type=float, default=1e-9, help="crossing bisection tolerance"),
+    "--jobs": dict(type=int, default=1, help="worker processes"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tripcover", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str, *options: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--instance", required=True, help="instance JSON document")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--grid-res", type=int, default=200, help="oracle grid points per axis")
-        p.add_argument("--trace-res", type=int, default=256, help="samples per curve arc")
-        p.add_argument("--cov-tol", type=float, default=1e-9, help="coverage test slack")
-        p.add_argument("--refine-tol", type=float, default=1e-9, help="crossing bisection tolerance")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve the two-transfer-point problem")
-    common(p_solve)
+    p_solve = command(
+        "solve",
+        "solve the two-transfer-point problem",
+        "--trace-res",
+        "--cov-tol",
+        "--refine-tol",
+        "--jobs",
+    )
     p_solve.add_argument(
         "--timing", action="store_true", help="include runtime_ms in the result document"
     )
 
-    p_oracle = sub.add_parser("oracle", help="brute-force grid lower bound")
-    common(p_oracle)
+    command("oracle", "brute-force grid lower bound", "--grid-res", "--cov-tol")
+    command("preprocess", "dump distances, bottlenecks, segments, classes")
 
-    p_pre = sub.add_parser("preprocess", help="dump distances, bottlenecks, segments, classes")
-    common(p_pre)
-
-    p_curves = sub.add_parser("curves", help="export level curves as CSV")
-    common(p_curves)
+    p_curves = command("curves", "export level curves as CSV", "--trace-res")
     p_curves.add_argument(
         "--segments",
         required=True,
@@ -83,9 +93,9 @@ def _build_parser() -> _Parser:
         default=None,
         help="O/D pair selector 'i,j'; repeatable, default all pairs",
     )
+    p_curves.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
-    p_eval = sub.add_parser("evaluate", help="trip lengths and coverage at a point pair")
-    common(p_eval)
+    p_eval = command("evaluate", "trip lengths and coverage at a point pair", "--cov-tol")
     p_eval.add_argument("--x1", required=True, help="first transfer point 'EDGE:ARC'")
     p_eval.add_argument("--x2", required=True, help="second transfer point 'EDGE:ARC'")
 
@@ -325,8 +335,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command != "curves" and args.format == "csv":
-            raise _UsageError("csv output is only available for the curves subcommand")
         try:
             return _COMMANDS[args.command](args)
         except ValueError as exc:  # a malformed instance or a parameter out of range

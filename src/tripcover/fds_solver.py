@@ -23,16 +23,21 @@ minimiser, level curve, boundary points and crossings are exact 1-D
 computations (``level_curves``).
 
 The best candidate over all restricted problems solves the full problem.  The
-global solver finds it by branch-and-bound.  Off the diagonal a field's floor
-over its rectangle is the sum of two closed-form axis floors
+global solver finds it by a two-level branch-and-bound.  Off the diagonal a
+field's floor over its rectangle is the sum of two closed-form axis floors
 (``axis_floor``); on the diagonal a weak-duality relaxation of ``alpha*|x -
 y|`` over the whole rectangle reduces the field to the same shape.  These
 certified floors give an upper bound on every restricted problem's objective
 (the weight of the pairs with a field whose floor reaches the acceptance
-level).  That bound orders the problems, and a problem is solved only while
-its bound can still beat or tie the incumbent; inside a problem the same
-floors skip every field that cannot reach the level.  The answer is the one a
-full sweep returns.
+level).  The coarse level bounds a whole edge pair the same way: between
+points of two different edges the network distance is the least of four
+routes, one per pair of endpoints, each separable over the edge-pair
+rectangle, and on one edge it is at least zero (``edge_pair_bounds``).  One
+best-first search holds both levels: an edge pair is classified into its
+restricted problems, and those are bounded, only once its own bound can still
+beat or tie the incumbent, and a problem is solved only while its bound can.
+Inside a problem the same floors skip every field that cannot reach the
+level.  The answer is the one a full sweep returns.
 
 A brute-force grid oracle over edge-pair rectangles provides an independent
 lower bound used for verification; it evaluates network distances directly
@@ -42,10 +47,13 @@ machinery.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterator, Mapping, Sequence
@@ -143,31 +151,62 @@ class FdsSolution:
     counters: dict[str, int]
 
 
+def _check_parameters(trace_res: int, cov_tol: float, refine_tol: float, jobs: int = 1) -> None:
+    """Raise ``ValueError`` naming the first solver parameter out of range."""
+
+    for ok, name, need, value in (
+        (trace_res >= MIN_TRACE_RES, "trace_res", f">= {MIN_TRACE_RES}", trace_res),
+        (math.isfinite(cov_tol) and cov_tol >= 0, "cov_tol", "finite and >= 0", cov_tol),
+        (math.isfinite(refine_tol) and refine_tol > 0, "refine_tol", "finite and > 0", refine_tol),
+        (jobs >= 1, "jobs", ">= 1", jobs),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {need}, got {value}")
+
+
+def _edge_starts(prep: Preprocessed) -> list[int]:
+    """Position in ``prep.segments`` of each edge's first segment, then the total."""
+
+    return list(itertools.accumulate((len(s) for s in prep.segments_by_edge), initial=0))
+
+
+def _rp_index(n: int, a: int, b: int) -> int:
+    """Position of the segment pair ``a <= b`` in the enumeration of ``n`` segments."""
+
+    return a * n - a * (a - 1) // 2 + b - a
+
+
 def restricted_problems(
-    inst: ProblemInstance, prep: Preprocessed
+    inst: ProblemInstance, prep: Preprocessed, edges: tuple[int, int] | None = None
 ) -> list[RestrictedProblem]:
-    """All unordered segment pairs, diagonal included.
+    """All unordered segment pairs, diagonal included, in index order.
 
     The objective is symmetric in the roles of the two transfer points, so
     unordered pairs cover the same optima as the full ordered enumeration at
-    half the work.
+    half the work.  With ``edges=(e, f)`` only the pairs with one segment on
+    each of the two edges are classified; their ``index`` is still the
+    position in the full enumeration.
     """
 
     segs = prep.segments
+    n = len(segs)
+    rows = cols = range(n)
+    if edges is not None:
+        e, f = sorted(edges)
+        starts = _edge_starts(prep)
+        rows, cols = range(starts[e], starts[e + 1]), range(starts[f], starts[f + 1])
     problems = []
-    index = 0
-    for a in range(len(segs)):
-        for b in range(a, len(segs)):
+    for a in rows:
+        for b in range(max(a, cols.start), cols.stop):
             pc = classify_segment_pair(segs[a], segs[b], prep.dist, inst.network)
             problems.append(
                 RestrictedProblem(
-                    index,
+                    _rp_index(n, a, b),
                     segs[a],
                     segs[b],
                     pair_domain(inst.network, segs[a], segs[b], pc),
                 )
             )
-            index += 1
     return problems
 
 
@@ -220,22 +259,25 @@ def _diagonal_multipliers(alpha: float) -> np.ndarray:
     return np.union1d(np.linspace(0.0, 1.0 + alpha, 9), [alpha])
 
 
-def _floor_table(inst: ProblemInstance, geoms: Sequence) -> np.ndarray:
+def _segment_coefficients(alpha: float) -> np.ndarray:
+    """Coefficients ``alpha`` and ``-alpha`` of the affine network forms, then
+    ``lam - alpha`` and ``alpha - lam`` for every diagonal multiplier ``lam``."""
+
+    shift = _diagonal_multipliers(alpha) - alpha
+    return np.concatenate(([alpha, -alpha], shift, -shift))
+
+
+def _floor_table(inst: ProblemInstance, geoms: Sequence, coef: np.ndarray) -> np.ndarray:
     """``axis_floor`` of every facility on every segment, per coefficient.
 
-    Axis 0 follows ``inst.facilities`` and axis 1 ``geoms``.  Axis 2 holds
-    the coefficients ``alpha`` and ``-alpha`` of the affine network forms,
-    then ``lam - alpha`` and ``alpha - lam`` for every diagonal multiplier
-    ``lam``.
+    Axis 0 follows ``inst.facilities``, axis 1 ``geoms`` and axis 2 ``coef``.
     """
 
-    shift = _diagonal_multipliers(inst.alpha) - inst.alpha
-    coef = np.concatenate(([inst.alpha, -inst.alpha], shift, -shift))
     facility = np.array([(f.position.x, f.position.y) for f in inst.facilities]).reshape(-1, 2)
     segment = np.array([(*g.origin, *g.direction, g.length) for g in geoms])
     ox, oy, dx, dy, length = segment.T[:, None, :, None]
     lines = SimpleNamespace(origin=(ox, oy), direction=(dx, dy))
-    return axis_floor(facility.T[:, :, None, None], lines, coef, length)
+    return axis_floor(facility.T[:, :, None, None], lines, np.asarray(coef, dtype=float), length)
 
 
 def _pair_floors(
@@ -244,7 +286,8 @@ def _pair_floors(
     """Floor of every branch field over its rectangle, pair by pair.
 
     ``classes`` are the problems' pair classes and ``p``/``q`` the columns of
-    their two segments in ``table``.  Yields one dict per pair, in pair
+    their two segments in ``table``, whose coefficients are
+    ``_segment_coefficients``.  Yields one dict per pair, in pair
     order, mapping each boarding order to a ``(problems, 2)`` array: branches
     ``a`` and ``b``, the single field of a type 2 or diagonal problem filling
     both.  Off the diagonal a field is ``u(x) + v(y) + alpha*c0``, each axis
@@ -292,7 +335,9 @@ def field_floors(inst: ProblemInstance, rp: RestrictedProblem) -> list[dict[str,
     diagonal problem fills both.
     """
 
-    table = _floor_table(inst, [rp.domain.geom_p, rp.domain.geom_q])
+    table = _floor_table(
+        inst, [rp.domain.geom_p, rp.domain.geom_q], _segment_coefficients(inst.alpha)
+    )
     pc = rp.domain.pair_class
     return [
         {orientation: f[0] for orientation, f in floors.items()}
@@ -477,9 +522,11 @@ def solve_restricted(
 
     Ties on the objective break lexicographically (smaller x, then smaller y);
     a zero objective returns the fallback point, since every point of the
-    rectangle is then optimal.
+    rectangle is then optimal.  Raises ``ValueError``, before any work, on
+    the parameters ``solve_global`` rejects.
     """
 
+    _check_parameters(trace_res, cov_tol, refine_tol)
     counters = {
         "curves": 0,
         "intersections": 0,
@@ -572,6 +619,38 @@ def solve_restricted(
     )
 
 
+def _problem_bounder(inst: ProblemInstance, prep: Preprocessed, cov_tol: float):
+    """``problem_bounds`` as a function of the problems alone: the floor table
+    of every segment is built once, for all the problems bounded later."""
+
+    segments = prep.segments
+    column = {seg: k for k, seg in enumerate(segments)}
+    table = _floor_table(
+        inst,
+        [segment_geometry(inst.network, seg) for seg in segments],
+        _segment_coefficients(inst.alpha),
+    )
+    scale = _rounding_scale(inst)
+
+    def bounds(problems: Sequence[RestrictedProblem]) -> np.ndarray:
+        floors = _pair_floors(
+            inst,
+            table,
+            [rp.domain.pair_class for rp in problems],
+            np.array([column[rp.seg_p] for rp in problems], dtype=int),
+            np.array([column[rp.seg_q] for rp in problems], dtype=int),
+        )
+        out = np.zeros(len(problems))
+        for pair, pair_floors in zip(inst.pairs, floors):
+            f12 = pair_floors[ORIENT_12]
+            f21 = pair_floors[ORIENT_21]
+            lb = np.minimum(np.minimum(f12[:, 0], f12[:, 1]), np.minimum(f21[:, 0], f21[:, 1]))
+            out += pair.weight * ~_exceeds(lb, pair.acceptance + cov_tol, scale)
+        return out
+
+    return bounds
+
+
 def problem_bounds(
     inst: ProblemInstance,
     prep: Preprocessed,
@@ -592,26 +671,77 @@ def problem_bounds(
     is at least every objective of the problem in floating point too.
     """
 
-    column = {seg: k for k, seg in enumerate(prep.segments)}
-    table = _floor_table(
-        inst, [segment_geometry(inst.network, seg) for seg in prep.segments]
-    )
-    floors = _pair_floors(
-        inst,
-        table,
-        [rp.domain.pair_class for rp in problems],
-        np.array([column[rp.seg_p] for rp in problems], dtype=int),
-        np.array([column[rp.seg_q] for rp in problems], dtype=int),
-    )
-    scale = _rounding_scale(inst)
+    return _problem_bounder(inst, prep, cov_tol)(problems).tolist()
 
-    bounds = np.zeros(len(problems))
-    for pair, pair_floors in zip(inst.pairs, floors):
-        f12 = pair_floors[ORIENT_12]
-        f21 = pair_floors[ORIENT_21]
-        lb = np.minimum(np.minimum(f12[:, 0], f12[:, 1]), np.minimum(f21[:, 0], f21[:, 1]))
+
+def edge_pair_floors(inst: ProblemInstance, prep: Preprocessed) -> Iterator[np.ndarray]:
+    """Floor of every pair's trip length over every edge-pair rectangle.
+
+    Yields one array per pair, in pair order, over the edge pairs ``(e, f)``,
+    ``e <= f``, in ``np.triu_indices`` order.  For ``x`` on edge ``e`` and
+    ``y`` on another edge ``f`` a shortest path leaves ``e`` through an
+    endpoint ``a`` and enters ``f`` through an endpoint ``b``, so
+    ``alpha*d(x, y)`` is the least of four terms ``alpha*(arc(x, a) + D[a, b]
+    + arc(b, y))``, each affine in ``x`` and in ``y`` with slopes ``±alpha``.
+    In each boarding order the trip length is then the least of four
+    separable fields, and its floor the least of four sums: the
+    ``axis_floor`` of one facility on ``e``, plus ``alpha*D[a, b]`` and the
+    endpoint constants, plus the ``axis_floor`` of the other facility on
+    ``f``; up to rounding that is the minimum.  On one edge ``alpha*d >= 0``,
+    so the floors at coefficient 0 serve.  The floors come from one facility
+    × edge × {``alpha``, ``-alpha``, 0} table.
+    """
+
+    net = inst.network
+    alpha = inst.alpha
+    whole = [
+        segment_geometry(net, LinearArcSegment(e, 0.0, edge.length, 0))
+        for e, edge in enumerate(net.edges)
+    ]
+    table = _floor_table(inst, whole, np.array([alpha, -alpha, 0.0]))
+    first, second = np.triu_indices(len(net.edges))
+    same = first == second
+    idx = net.vertex_index
+    ends = np.array([(idx[edge.u], idx[edge.w]) for edge in net.edges])
+    length = np.array([edge.length for edge in net.edges])
+    # route[k, i, j]: leave edge first[k] through end i and enter second[k]
+    # through end j; arc(x, u) = x has slope +alpha (table column 0), arc(x,
+    # w) = length - x slope -alpha (column 1) plus the constant alpha*length
+    through_w = np.array([0.0, 1.0])
+    route = alpha * (
+        prep.dist[ends[first][:, :, None], ends[second][:, None, :]]
+        + (length[first, None] * through_w)[:, :, None]
+        + (length[second, None] * through_w)[:, None, :]
+    )
+    row = inst.facility_index
+    for pair in inst.pairs:
+        a, b = row[pair.origin], row[pair.dest]
+        lb = np.inf
+        for fp, fq in ((a, b), (b, a)):
+            near = table[fp, first]
+            far = table[fq, second]
+            apart = (near[:, :2, None] + route + far[:, None, :2]).min(axis=(1, 2))
+            lb = np.minimum(lb, np.where(same, near[:, 2] + far[:, 2], apart))
+        yield lb
+
+
+def edge_pair_bounds(
+    inst: ProblemInstance, prep: Preprocessed, cov_tol: float = DEFAULT_COVERAGE_TOL
+) -> dict[tuple[int, int], float]:
+    """Certified upper bound on the objective of every restricted problem of
+    each edge pair ``(e, f)``, ``e <= f``.
+
+    The weight of the pairs whose ``edge_pair_floors`` value is within
+    ``acceptance + cov_tol`` plus the rounding allowance of ``_exceeds``,
+    summed in pair order as ``problem_bounds`` sums it.
+    """
+
+    first, second = np.triu_indices(len(inst.network.edges))
+    scale = _rounding_scale(inst)
+    bounds = np.zeros(len(first))
+    for pair, lb in zip(inst.pairs, edge_pair_floors(inst, prep)):
         bounds += pair.weight * ~_exceeds(lb, pair.acceptance + cov_tol, scale)
-    return bounds.tolist()
+    return dict(zip(zip(first.tolist(), second.tolist()), bounds.tolist()))
 
 
 def _rank(sol: FdsSolution) -> tuple[float, int, float, float]:
@@ -630,6 +760,13 @@ def _may_win(bound: float, index: int, incumbent: FdsSolution | None) -> bool:
     return index <= incumbent.rp_index
 
 
+def _record(
+    sol: FdsSolution, results: dict[int, FdsSolution], best: FdsSolution | None
+) -> FdsSolution:
+    results[sol.rp_index] = sol
+    return sol if best is None or _rank(sol) < _rank(best) else best
+
+
 _worker_args: tuple[ProblemInstance, dict] | None = None
 
 
@@ -643,38 +780,68 @@ def _solve_task(rp: RestrictedProblem) -> FdsSolution:
     return solve_restricted(inst, rp, **params)
 
 
-def _search_pool(
-    inst: ProblemInstance,
-    problems: Sequence[RestrictedProblem],
-    order: Sequence[int],
-    bounds: Sequence[float],
-    params: dict,
-    jobs: int,
-    results: dict[int, FdsSolution],
-) -> FdsSolution | None:
-    """Branch-and-bound with at most ``jobs`` problems in flight, in ``order``."""
+@dataclass
+class _Search:
+    """What the branch-and-bound classified and solved."""
 
-    best = None
-    queue = iter(order)
+    best: FdsSolution | None
+    bounds: dict[int, float]  # every classified problem's bound, by index
+    problems: dict[int, RestrictedProblem]
+    results: dict[int, FdsSolution]
+    edge_pairs: int  # edge pairs classified
+
+
+def _search(
+    inst: ProblemInstance, prep: Preprocessed, cov_tol: float, params: dict, jobs: int
+) -> _Search:
+    """Best-first search over edge pairs and restricted problems in one heap.
+
+    Both are keyed ``(-bound, index)``; an edge pair's index is that of its
+    first member, and a member's bound is capped by its edge pair's, so no
+    member is keyed ahead of its edge pair and the keys are unique.  The
+    search pops the least key while it may still beat or tie the incumbent:
+    an edge pair is classified and its members bounded and pushed, a problem
+    is solved in-process, or in a pool that holds at most ``jobs`` of them.
+    """
+
+    n = len(prep.segments)
+    starts = _edge_starts(prep)
+    heap = [
+        (-bound, _rp_index(n, starts[e], starts[f]), (e, f))
+        for (e, f), bound in edge_pair_bounds(inst, prep, cov_tol).items()
+    ]
+    heapq.heapify(heap)
+    member_bounds = _problem_bounder(inst, prep, cov_tol)
+    out = _Search(None, {}, {}, {}, 0)
     pending: set = set()
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(inst, params)
-    ) as pool:
+    pool = None
+    if jobs > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(inst, params)
+        )
+    with pool or nullcontext():
         while True:
-            while queue is not None and len(pending) < jobs:
-                k = next(queue, None)
-                if k is None or not _may_win(bounds[k], k, best):
-                    queue = None  # bounds only fall along the order
-                else:
-                    pending.add(pool.submit(_solve_task, problems[k]))
+            while heap and len(pending) < jobs and _may_win(-heap[0][0], heap[0][1], out.best):
+                negated, _, node = heapq.heappop(heap)
+                if isinstance(node, RestrictedProblem):
+                    if pool is not None:
+                        pending.add(pool.submit(_solve_task, node))
+                    else:
+                        sol = solve_restricted(inst, node, **params)
+                        out.best = _record(sol, out.results, out.best)
+                    continue
+                members = restricted_problems(inst, prep, edges=node)
+                out.edge_pairs += 1
+                for rp, bound in zip(members, member_bounds(members).tolist()):
+                    bound = min(bound, -negated)
+                    out.bounds[rp.index] = bound
+                    out.problems[rp.index] = rp
+                    heapq.heappush(heap, (-bound, rp.index, rp))
             if not pending:
-                return best
+                return out
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                sol = future.result()
-                results[sol.rp_index] = sol
-                if best is None or _rank(sol) < _rank(best):
-                    best = sol
+                out.best = _record(future.result(), out.results, out.best)
 
 
 def solve_global(
@@ -687,20 +854,24 @@ def solve_global(
 ) -> tuple[Solution, dict]:
     """Solve the full problem by branch-and-bound over the restricted problems.
 
-    Problems are visited in descending ``problem_bounds`` order (ties by
-    index) and skipped once their bound cannot beat or tie the incumbent under
-    the reduction order: best objective, ties by problem index then
-    lexicographic point.  The result is therefore the one a sweep over every
-    problem returns.  With ``jobs`` above one, up to ``jobs`` problems run at
-    once in a process pool that receives the instance once.
+    The search has two levels.  Every edge pair gets an ``edge_pair_bounds``
+    bound first; an edge pair is classified into its restricted problems,
+    and those get their ``problem_bounds`` bound (capped by the edge pair's),
+    only when it comes first in descending bound order (ties by index) and
+    can still beat or tie the incumbent under the reduction order: best
+    objective, ties by problem index then lexicographic point.  Problems are
+    solved in the same order, under the same test.  The result is therefore
+    the one a sweep over every problem returns.  With ``jobs`` above one, up
+    to ``jobs`` problems run at once in a process pool that receives the
+    instance once.
 
     Returns the solution plus a stats dict.  ``solved`` counts the *required*
     problems, those whose bound beats the optimum or ties it at an index up
-    to the winner's; every schedule solves all of them, and the per-problem
-    counters (``omega_total``, ``curves``, ``intersections``,
+    to the winner's; every schedule classifies and solves all of them, and
+    the per-problem counters (``omega_total``, ``curves``, ``intersections``,
     ``max_curve_pair_intersections``, ``bound_exceeded``) are summed over
-    them alone, so the stats do not depend on ``jobs``.  ``pruned`` counts the
-    rest.
+    them alone, so the stats do not depend on ``jobs``.  ``pruned`` counts
+    the rest, classified or not.
 
     Raises ``ValueError``, before any work, unless ``trace_res >= 16``,
     ``cov_tol`` is finite and nonnegative, ``refine_tol`` is finite and
@@ -708,42 +879,31 @@ def solve_global(
     """
 
     started = time.perf_counter()
-    for ok, name, need, value in (
-        (trace_res >= MIN_TRACE_RES, "trace_res", f">= {MIN_TRACE_RES}", trace_res),
-        (math.isfinite(cov_tol) and cov_tol >= 0, "cov_tol", "finite and >= 0", cov_tol),
-        (math.isfinite(refine_tol) and refine_tol > 0, "refine_tol", "finite and > 0", refine_tol),
-        (jobs >= 1, "jobs", ">= 1", jobs),
-    ):
-        if not ok:
-            raise ValueError(f"{name} must be {need}, got {value}")
+    _check_parameters(trace_res, cov_tol, refine_tol, jobs)
     report = validate_instance(inst)
     if not report.is_valid:
         raise ValueError(f"invalid instance:\n{report}")
 
     prep = preprocess_network(inst.network)
-    problems = restricted_problems(inst, prep)
-    bounds = problem_bounds(inst, prep, problems, cov_tol)
-    order = sorted(range(len(problems)), key=lambda k: (-bounds[k], k))
     params = dict(trace_res=trace_res, cov_tol=cov_tol, refine_tol=refine_tol)
-    results: dict[int, FdsSolution] = {}
-    if jobs > 1 and len(problems) > 1:
-        best = _search_pool(inst, problems, order, bounds, params, jobs, results)
-    else:
-        best = None
-        for k in order:
-            if not _may_win(bounds[k], k, best):
-                break  # bounds only fall along the order
-            sol = solve_restricted(inst, problems[k], **params)
-            results[k] = sol
-            if best is None or _rank(sol) < _rank(best):
-                best = sol
+    found = _search(inst, prep, cov_tol, params, jobs)
+    best = found.best
+    n = len(prep.segments)
+    total = n * (n + 1) // 2
 
     # every schedule solves these: the problems that could tie or beat the winner
-    required = [results[k] for k in range(len(problems)) if _may_win(bounds[k], k, best)]
+    required = [
+        found.results[k] for k in sorted(found.bounds) if _may_win(found.bounds[k], k, best)
+    ]
     logger.info(
-        "solved %d of %d restricted problems (jobs=%d)", len(required), len(problems), jobs
+        "solved %d of %d restricted problems, %d classified in %d edge pairs (jobs=%d)",
+        len(required),
+        total,
+        len(found.bounds),
+        found.edge_pairs,
+        jobs,
     )
-    rp = problems[best.rp_index]
+    rp = found.problems[best.rp_index]
     x1 = network_point(
         inst.network, rp.seg_p.edge, rp.seg_p.start + best.best[0]
     )
@@ -752,10 +912,10 @@ def solve_global(
     )
     solution = Solution(x1, x2, best.objective, best.covered)
     stats = {
-        "segments": len(prep.segments),
-        "restricted_problems": len(problems),
+        "segments": n,
+        "restricted_problems": total,
         "solved": len(required),
-        "pruned": len(problems) - len(required),
+        "pruned": total - len(required),
         "omega_total": int(sum(s.counters["omega"] for s in required)),
         "curves": int(sum(s.counters["curves"] for s in required)),
         "intersections": int(sum(s.counters["intersections"] for s in required)),

@@ -190,7 +190,25 @@ def test_csv_format_rejected_outside_curves(files):
         "solve", "--instance", str(files["fig2"]), "--format", "csv"
     )
     assert proc.returncode == 1
-    assert "curves subcommand" in proc.stderr
+    assert "unrecognized arguments: --format csv" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["solve"], "--grid-res", "120"),
+        (["oracle"], "--trace-res", "64"),
+        (["oracle"], "--jobs", "2"),
+        (["preprocess"], "--cov-tol", "1e-6"),
+        (["curves", "--segments", "0,2"], "--refine-tol", "1e-6"),
+        (["evaluate", "--x1", "0:1", "--x2", "1:1"], "--jobs", "2"),
+    ],
+)
+def test_flag_rejected_where_it_does_not_act(files, command, flag, value):
+    # each command takes only the options it reads, so none is silently ignored
+    proc = run_cli(*command, "--instance", str(files["fig4"]), flag, value)
+    assert proc.returncode == 1
+    assert f"unrecognized arguments: {flag}" in proc.stderr
 
 
 def test_curves_json_format(files):

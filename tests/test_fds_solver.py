@@ -10,6 +10,9 @@ from tripcover.fds_solver import (
     PROV_FALLBACK,
     axis_floor,
     cross_pair_candidates,
+    edge_pair_bounds,
+    edge_pair_distance,
+    edge_pair_floors,
     evaluate_point_pair,
     field_floors,
     network_point_distance,
@@ -385,6 +388,97 @@ def test_problem_bounds_are_certified(random_suite, random_suite_sweeps, trapezo
             assert oracle_grid(inst, res=64, rp=rp).objective <= bound
 
 
+def test_edge_pair_bounds_are_certified(random_suite, trapezoid_a04):
+    # every problem lies in exactly one edge pair, whose bound is at least the
+    # member's own bound and what the grid oracle finds on the member
+    probes = [
+        parse_instance(transformed_doc(doc, **transform))
+        for doc in (fig4_doc(), random_instance_doc(104))
+        for transform in ({"scale": 1e6}, {"shift": 1e6})
+    ]
+    for inst in random_suite + [parse_instance(fig4_doc()), trapezoid_a04] + probes:
+        prep = preprocess_network(inst.network)
+        problems = restricted_problems(inst, prep)
+        seen = []
+        for edges, bound in edge_pair_bounds(inst, prep).items():
+            members = restricted_problems(inst, prep, edges=edges)
+            assert {(rp.seg_p.edge, rp.seg_q.edge) for rp in members} == {edges}
+            assert members == [problems[rp.index] for rp in members]
+            assert max(problem_bounds(inst, prep, members)) <= bound
+            for rp in members:
+                assert oracle_grid(inst, res=64, rp=rp).objective <= bound
+            seen += [rp.index for rp in members]
+        assert sorted(seen) == list(range(len(problems)))
+
+
+def rounding_allowance(inst):
+    """The allowance the floor tests grant: 64 eps times the largest
+    coordinate magnitude or the network length plus twice its longest edge."""
+
+    points = [v.position for v in inst.network.vertices] + [f.position for f in inst.facilities]
+    lengths = [e.length for e in inst.network.edges]
+    scale = max(max(max(abs(p.x), abs(p.y)) for p in points), sum(lengths) + 2 * max(lengths))
+    return 64 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("transform", [{}, {"scale": 1e6}, {"shift": 1e6}])
+@pytest.mark.parametrize("seed", [104, 107, 120])
+def test_edge_pair_floors_are_the_sampled_minimum(seed, transform):
+    # on two different edges the floor is the minimum of the trip length over
+    # the edge-pair rectangle, so it lies within the sampling error of a 33x33
+    # grid minimum (the trip length is (1 + alpha)-Lipschitz per axis); on one
+    # edge it only has to stay below it
+    inst = parse_instance(transformed_doc(random_instance_doc(seed), **transform))
+    net = inst.network
+    prep = preprocess_network(net)
+    floors = np.array(list(edge_pair_floors(inst, prep)))
+    allowance = rounding_allowance(inst)
+
+    def samples(edge):
+        ts = np.linspace(0.0, net.edges[edge].length, 33)
+        pu, pw = net.edge_endpoints(edge)
+        frac = ts / net.edges[edge].length
+        return ts, pu.x + frac * (pw.x - pu.x), pu.y + frac * (pw.y - pu.y)
+
+    for k, (e, f) in enumerate(zip(*np.triu_indices(len(net.edges)))):
+        ps, px, py = samples(e)
+        qs, qx, qy = samples(f)
+        network = inst.alpha * edge_pair_distance(net, prep.dist, e, f, ps[:, None], qs[None, :])
+        slack = (1 + inst.alpha) * (ps[1] + qs[1]) / 2
+        for pi, pair in enumerate(inst.pairs):
+            a = inst.facility_position(pair.origin)
+            b = inst.facility_position(pair.dest)
+            h12 = np.hypot(a.x - px, a.y - py)[:, None] + network + np.hypot(b.x - qx, b.y - qy)
+            h21 = np.hypot(a.x - qx, a.y - qy) + network + np.hypot(b.x - px, b.y - py)[:, None]
+            sampled = float(np.minimum(h12, h21).min())
+            assert floors[pi, k] <= sampled + allowance
+            if e != f:
+                assert floors[pi, k] >= sampled - slack - allowance
+
+
+@pytest.mark.parametrize("name", ["fig4", "seed103", "seed120"])
+def test_edge_order_leaves_objective_and_counts_unchanged(name):
+    # the order of the edges fixes the problem indices and so the tie-breaks:
+    # the reported points may move, the objective and the counts may not
+    from tripcover.preprocess import all_pairs_shortest_paths
+
+    doc = _probe_doc(name)
+    sol, stats = solve_global(parse_instance(doc), trace_res=SUITE_TRACE_RES)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        permuted = {**doc, "edges": [doc["edges"][k] for k in rng.permutation(len(doc["edges"]))]}
+        inst = parse_instance(permuted)
+        other, other_stats = solve_global(inst, trace_res=SUITE_TRACE_RES)
+        assert other.objective == sol.objective
+        for key in ("segments", "restricted_problems"):
+            assert other_stats[key] == stats[key]
+        assert len(restricted_problems(inst, preprocess_network(inst.network))) == (
+            stats["restricted_problems"]
+        )
+        dist = all_pairs_shortest_paths(inst.network)
+        assert evaluate_point_pair(inst, dist, other.x1, other.x2)[1] == other.objective
+
+
 def point_segment_distance(px, py, geom):
     """Distance from a point to a segment by clamped projection."""
 
@@ -498,10 +592,7 @@ def test_field_floors_bound_every_field(seed, transform):
     # the floors that let _trace_pair skip a field never exceed its minimum
     # by more than the rounding allowance the skip grants
     inst = parse_instance(transformed_doc(random_instance_doc(seed), **transform))
-    points = [v.position for v in inst.network.vertices] + [f.position for f in inst.facilities]
-    lengths = [e.length for e in inst.network.edges]
-    scale = max(max(max(abs(p.x), abs(p.y)) for p in points), sum(lengths) + 2 * max(lengths))
-    allowance = 64 * np.finfo(float).eps * scale
+    allowance = rounding_allowance(inst)
     for rp in restricted_problems(inst, preprocess_network(inst.network)):
         pc = rp.domain.pair_class
         branches = ("a", "b") if (pc.kind == "type1" and not pc.diagonal) else ("a",)
@@ -593,15 +684,22 @@ def test_global_matches_unpruned_sweep(name, transform):
     ],
 )
 def test_solver_parameters_checked_before_any_work(param, monkeypatch):
-    # unchecked, a NaN cov_tol covers nothing: fig4 would report 0 against its optimum 2
+    # unchecked, a NaN cov_tol covers nothing: fig4 would report 0 against its optimum 2,
+    # in solve_global and in solve_restricted on the winning problem alike
     import tripcover.fds_solver as fds
 
-    def refuse(inst):
+    def refuse(*args):
         raise AssertionError("work started before the parameters were checked")
 
+    inst = parse_instance(fig4_doc())
+    rp = antipodal_problem(inst)
     monkeypatch.setattr(fds, "validate_instance", refuse)
+    monkeypatch.setattr(fds, "field_floors", refuse)
     with pytest.raises(ValueError, match=next(iter(param))):
-        solve_global(parse_instance(fig4_doc()), **param)
+        solve_global(inst, **param)
+    if "jobs" not in param:  # a restricted problem runs in one process
+        with pytest.raises(ValueError, match=next(iter(param))):
+            solve_restricted(inst, rp, **param)
 
 
 def relabelled_doc(doc: dict, seed: int) -> dict:
@@ -662,3 +760,19 @@ def test_grid5_60_pairs_reaches_the_oracle():
     inst = parse_instance(grid_instance_doc(5, 15, 60))
     sol, _ = solve_global(inst, trace_res=128)
     assert sol.objective >= oracle_grid(inst, res=200).objective
+
+
+@pytest.mark.slow
+def test_grid6_100_pairs_reaches_the_oracle():
+    inst = parse_instance(grid_instance_doc(6, 20, 100))
+    sol, stats = solve_global(inst, trace_res=128)
+    assert stats["restricted_problems"] == 94830
+    assert sol.objective >= oracle_grid(inst, res=100).objective  # both 52
+
+
+@pytest.mark.slow
+def test_grid8_200_pairs_objective():
+    inst = parse_instance(grid_instance_doc(8, 30, 200))
+    sol, stats = solve_global(inst, trace_res=128)
+    assert stats["restricted_problems"] == 520710
+    assert sol.objective == 79.0
