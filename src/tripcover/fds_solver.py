@@ -20,7 +20,11 @@ assembled from
 Each branch field is separable, ``g(x, y) = u(x) + v(y) + alpha*c0`` with
 ``u`` and ``v`` a facility-to-segment distance plus a linear term, so its
 minimiser, level curve, boundary points and crossings are exact 1-D
-computations (``level_curves``).
+computations (``level_curves``).  ``solve_restricted`` gathers every curve
+pair of a problem, the branch pairs of each O/D pair and every curve
+combination of each two O/D pairs, crosses them in one
+``intersect_curve_pairs`` batch and splits the crossings back per pair, with
+the counts and deduplication of crossing each pair alone.
 
 The best candidate over all restricted problems solves the full problem.  The
 global solver finds it by a two-level branch-and-bound.  Off the diagonal a
@@ -66,12 +70,16 @@ from .level_curves import (
     DEFAULT_TRACE_RES,
     MIN_TRACE_RES,
     IntersectionPoint,
+    IntersectionSet,
     LevelCurve,
     _dedupe_points,
-    intersect_curves,
+    intersect_curve_pairs,
     minimize,
     trace_level_curve,
 )
+# bench/spans.py traces crossings under this name; the solver crosses every
+# curve pair of a problem in one intersect_curve_pairs call
+from .level_curves import intersect_curves  # noqa: F401
 # bench/spans.py traces the arc sampler under this name; the solver samples no arc
 from .level_curves import sample_arc as sample_grid  # noqa: F401
 from .mixed_distance import (
@@ -422,6 +430,50 @@ def _trace_pair(
     return out
 
 
+def _branch_pairs(
+    rp: RestrictedProblem, curves: Mapping[tuple[str, str], LevelCurve]
+) -> dict[str, tuple[LevelCurve, LevelCurve]]:
+    """The two branch curves of every boarding order that has both, on a
+    type-1 problem: the curve pairs ``pair_candidates`` intersects."""
+
+    pc = rp.domain.pair_class
+    if pc.kind != TYPE1 or pc.diagonal:
+        return {}
+    return {
+        o: (curves[(o, BRANCH_A)], curves[(o, BRANCH_B)])
+        for o in ORIENTATIONS
+        if (o, BRANCH_A) in curves and (o, BRANCH_B) in curves
+    }
+
+
+def _pair_points(
+    rp: RestrictedProblem,
+    curves: Mapping[tuple[str, str], LevelCurve],
+    hits: Mapping[str, IntersectionSet],
+) -> tuple[list[tuple[float, float]], dict[str, int]]:
+    """``pair_candidates`` given the crossings ``hits`` of ``_branch_pairs``."""
+
+    pc = rp.domain.pair_class
+    branches = (BRANCH_A, BRANCH_B) if (pc.kind == TYPE1 and not pc.diagonal) else (BRANCH_A,)
+    points: list[tuple[float, float]] = []
+    stats = {"intersections": 0, "max_curve_pair": 0, "bound_exceeded": 0}
+    for orientation in ORIENTATIONS:
+        found = hits.get(orientation)
+        if found is not None:
+            stats["intersections"] += len(found)
+            stats["max_curve_pair"] = max(stats["max_curve_pair"], len(found))
+            stats["bound_exceeded"] += bool(found.bound_exceeded)
+            if found.points:
+                points.extend((p.x, p.y) for p in found.points)
+                continue
+        for branch in branches:
+            curve = curves.get((orientation, branch))
+            if curve is not None and not curve.empty:
+                v = curve.polylines[0][0]
+                points.append((float(v[0]), float(v[1])))
+    return points, stats
+
+
 def pair_candidates(
     rp: RestrictedProblem,
     curves: Mapping[tuple[str, str], LevelCurve],
@@ -435,32 +487,22 @@ def pair_candidates(
     from it.  An orientation with no curve contributes nothing.
     """
 
-    pc = rp.domain.pair_class
-    type1 = pc.kind == TYPE1 and not pc.diagonal
-    points: list[tuple[float, float]] = []
-    stats = {"intersections": 0, "max_curve_pair": 0, "bound_exceeded": 0}
-    for orientation in ORIENTATIONS:
-        if type1:
-            ca = curves.get((orientation, BRANCH_A))
-            cb = curves.get((orientation, BRANCH_B))
-            if ca is not None and cb is not None:
-                hits = intersect_curves(ca, cb, refine_tol)
-                stats["intersections"] += len(hits)
-                stats["max_curve_pair"] = max(stats["max_curve_pair"], len(hits))
-                stats["bound_exceeded"] += bool(hits.bound_exceeded)
-                if hits.points:
-                    points.extend((p.x, p.y) for p in hits.points)
-                    continue
-            for curve in (ca, cb):
-                if curve is not None and not curve.empty:
-                    v = curve.polylines[0][0]
-                    points.append((float(v[0]), float(v[1])))
-        else:
-            curve = curves.get((orientation, BRANCH_A))
-            if curve is not None and not curve.empty:
-                v = curve.polylines[0][0]
-                points.append((float(v[0]), float(v[1])))
-    return points, stats
+    pairs = _branch_pairs(rp, curves)
+    hits = intersect_curve_pairs(list(pairs.values()), refine_tol)
+    return _pair_points(rp, curves, dict(zip(pairs, hits)))
+
+
+def _cross_points(
+    hits: Sequence[IntersectionSet], dedupe_radius: float = DEFAULT_DEDUPE_RADIUS
+) -> tuple[list[IntersectionPoint], dict[str, int]]:
+    """``cross_pair_candidates`` given the crossings of every curve combination."""
+
+    stats = {
+        "max_curve_pair": max((len(found) for found in hits), default=0),
+        "bound_exceeded": sum(bool(found.bound_exceeded) for found in hits),
+    }
+    collected = [p for found in hits for p in found.points]
+    return _dedupe_points(collected, dedupe_radius), stats
 
 
 def cross_pair_candidates(
@@ -479,15 +521,8 @@ def cross_pair_candidates(
 
     if pair_a == pair_b:
         raise ValueError(f"cross candidates need two different O/D pairs, got {pair_a} twice")
-    collected: list[IntersectionPoint] = []
-    stats = {"max_curve_pair": 0, "bound_exceeded": 0}
-    for ca in curves_a.values():
-        for cb in curves_b.values():
-            hits = intersect_curves(ca, cb, refine_tol)
-            stats["max_curve_pair"] = max(stats["max_curve_pair"], len(hits))
-            stats["bound_exceeded"] += bool(hits.bound_exceeded)
-            collected.extend(hits.points)
-    return _dedupe_points(collected, dedupe_radius), stats
+    combos = list(itertools.product(curves_a.values(), curves_b.values()))
+    return _cross_points(intersect_curve_pairs(combos, refine_tol), dedupe_radius)
 
 
 def _fallback_point(
@@ -541,9 +576,21 @@ def solve_restricted(
         bundles[pi] = bundle
         counters["curves"] += len(bundle.curves)
 
+    # every curve pair of every O/D pair and of every two O/D pairs, crossed
+    # in one batch and split back in the same order
+    own = [_branch_pairs(rp, bundles[pi].curves) for pi in range(len(inst.pairs))]
+    crossed = [
+        list(itertools.product(bundles[pi].curves.values(), bundles[pj].curves.values()))
+        for pi, pj in itertools.combinations(range(len(inst.pairs)), 2)
+        if bundles[pi].curves and bundles[pj].curves
+    ]
+    batch = [cp for pairs in own for cp in pairs.values()]
+    batch += [cp for combos in crossed for cp in combos]
+    hits = iter(intersect_curve_pairs(batch, refine_tol))
+
     candidates: list[Candidate] = []
-    for pi in range(len(inst.pairs)):
-        points, stats = pair_candidates(rp, bundles[pi].curves, refine_tol)
+    for pi, pairs in enumerate(own):
+        points, stats = _pair_points(rp, bundles[pi].curves, {o: next(hits) for o in pairs})
         counters["intersections"] += stats["intersections"]
         counters["max_curve_pair_intersections"] = max(
             counters["max_curve_pair_intersections"], stats["max_curve_pair"]
@@ -551,23 +598,14 @@ def solve_restricted(
         counters["bound_exceeded"] += stats["bound_exceeded"]
         candidates.extend(Candidate(x, y, PROV_PAIR_CURVES) for x, y in points)
 
-    for pi in range(len(inst.pairs)):
-        if not bundles[pi].curves:
-            continue
-        for pj in range(pi + 1, len(inst.pairs)):
-            if not bundles[pj].curves:
-                continue
-            pa = (inst.pairs[pi].origin, inst.pairs[pi].dest)
-            pb = (inst.pairs[pj].origin, inst.pairs[pj].dest)
-            points, stats = cross_pair_candidates(
-                pa, pb, bundles[pi].curves, bundles[pj].curves, refine_tol
-            )
-            counters["intersections"] += len(points)
-            counters["max_curve_pair_intersections"] = max(
-                counters["max_curve_pair_intersections"], stats["max_curve_pair"]
-            )
-            counters["bound_exceeded"] += stats["bound_exceeded"]
-            candidates.extend(Candidate(p.x, p.y, PROV_CROSS_CURVES) for p in points)
+    for combos in crossed:
+        points, stats = _cross_points([next(hits) for _ in combos])
+        counters["intersections"] += len(points)
+        counters["max_curve_pair_intersections"] = max(
+            counters["max_curve_pair_intersections"], stats["max_curve_pair"]
+        )
+        counters["bound_exceeded"] += stats["bound_exceeded"]
+        candidates.extend(Candidate(p.x, p.y, PROV_CROSS_CURVES) for p in points)
 
     w, h = rp.rect
     for bundle in bundles.values():

@@ -8,6 +8,12 @@ u(x))``, the points where it meets the domain boundary and the crossings of
 two curves are all 1-D computations.  A diagonal problem's field lives on
 the triangle ``x <= y``, whose third side ``x = y`` the curve meets where the
 convex ``u(t) + v(t)`` reaches the level.
+
+The crossings of many curve pairs are found together
+(``intersect_curve_pairs``): the arcs of all pairs are stacked into one
+``Arc`` of arrays, which evaluates through the same ``Axis`` arithmetic as a
+single arc, their gaps are sampled together and every sign change is
+bisected in one loop.  ``intersect_curves`` is its one-pair call.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ import io
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .mixed_distance import SeparableField
+from .mixed_distance import Axis, SeparableField
 
 DEFAULT_TRACE_RES = 256
 DEFAULT_REFINE_TOL = 1e-9
@@ -31,6 +37,10 @@ MIN_TRACE_RES = 16
 #: times; more surviving crossings flag a defect in the crossing search
 CURVE_PAIR_CROSSING_BOUND = 12
 
+# the crossing search samples the gaps of at most this many arc pairs times
+# samples per array, so its memory does not grow with the batch
+_SAMPLES_PER_ARRAY = 1 << 14
+
 # a bisection stops after this many halvings even above its tolerance: a
 # bracket of adjacent floats cannot shrink, and 2**-100 of any bracket is tiny
 _BISECT_STEPS = 100
@@ -38,18 +48,22 @@ _BISECT_STEPS = 100
 
 def _bisect(f: Callable, lo, hi, tol: float):
     """Shrink the brackets ``[lo, hi]`` of sign changes of ``f`` (``f >= 0``
-    counting as positive) until each is at most ``tol`` wide with ``|f| <=
-    tol`` at its midpoint, or cannot shrink any more."""
+    counting as positive, ``f`` evaluated elementwise, one bracket per
+    element) until each is at most ``tol`` wide with ``|f| <= tol`` at its
+    midpoint, or cannot shrink any more.  Each bracket stops on its own, so
+    its ends do not depend on the other brackets bisected with it."""
 
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     lo_above = f(lo) >= 0.0
+    live = np.ones(lo.shape, dtype=bool)
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         at_mid = f(mid)
-        if np.all(((hi - lo <= tol) & (np.abs(at_mid) <= tol)) | (mid == lo) | (mid == hi)):
+        live &= ~(((hi - lo <= tol) & (np.abs(at_mid) <= tol)) | (mid == lo) | (mid == hi))
+        if not live.any():
             break
         move = (at_mid >= 0.0) == lo_above
-        lo, hi = np.where(move, mid, lo), np.where(move, hi, mid)
+        lo, hi = np.where(live & move, mid, lo), np.where(live & ~move, mid, hi)
     return lo, hi
 
 
@@ -67,16 +81,42 @@ def minimize(field: SeparableField) -> tuple[float, float]:
 @dataclass(frozen=True)
 class Arc:
     """Level-curve piece ``y = v⁻¹(target - u(x))``, ``x0 <= x <= x1``, on one
-    monotone side of ``v``."""
+    monotone side of ``v``.
 
-    field: SeparableField
+    Many arcs stack into one (``_stacked``) whose every field is an array
+    with one element per arc; called on an array whose last axis runs over
+    the arcs, it evaluates each arc at its own abscissae.
+    """
+
+    u: Axis
+    v: Axis
     target: float
     side: int
     x0: float
     x1: float
 
     def __call__(self, x):
-        return self.field.v.inverse(self.target - self.field.u(x), self.side)
+        return self.v.inverse(self.target - self.u(x), self.side)
+
+
+def _arc_rows(arcs: Sequence[Arc]) -> np.ndarray:
+    """One row of parameters per arc, the columns ``_stacked`` reads."""
+
+    return np.array(
+        [
+            (a.u.t0, a.u.h, a.u.s, a.u.c, a.u.length, a.v.t0, a.v.h, a.v.s, a.v.c, a.v.length)
+            + (a.target, a.side, a.x0, a.x1)
+            for a in arcs
+        ],
+        dtype=float,
+    ).reshape(-1, 14)
+
+
+def _stacked(rows: np.ndarray) -> Arc:
+    """The arcs of parameter ``rows`` (``_arc_rows``) as one stacked ``Arc``."""
+
+    col = rows.T
+    return Arc(Axis(*col[0:5]), Axis(*col[5:10]), *col[10:14])
 
 
 def sample_arc(arc: Arc, res: int) -> np.ndarray:
@@ -155,7 +195,7 @@ def trace_level_curve(
             continue
         inner = u.sublevel(target - v(edge))
         pieces = [outer] if inner is None else [(outer[0], inner[0]), (inner[1], outer[1])]
-        arcs += [Arc(field, target, side, a, b) for a, b in pieces if b > a]
+        arcs += [Arc(u, v, target, side, a, b) for a, b in pieces if b > a]
 
     boundary = [(x, y) for y in (0.0, h) for x in u.solve(target - v(y))]
     boundary += [(x, y) for x in (0.0, w) for y in v.solve(target - u(x))]
@@ -229,6 +269,98 @@ def _dedupe_points(
     return reps
 
 
+def intersect_curve_pairs(
+    pairs: Sequence[tuple[LevelCurve, LevelCurve]],
+    refine_tol: float = DEFAULT_REFINE_TOL,
+    *,
+    dedupe_radius: float = DEFAULT_DEDUPE_RADIUS,
+    bound: int = CURVE_PAIR_CROSSING_BOUND,
+) -> list[IntersectionSet]:
+    """The crossing points of each pair of curves, all found together.
+
+    For every two arcs of a pair whose x-ranges overlap, ``y1(x) - y2(x)``
+    is sampled at ``res + 1`` points of the overlap, ``res`` the finer
+    curve's, and each sign change is bisected until the x-bracket and the
+    gap at its midpoint are both within ``refine_tol``; the crossing is that
+    midpoint, at the mean of the two ordinates.  A point is ``refined`` when
+    its bisection got there.  The overlapping arcs of all pairs are sampled
+    together, a bounded number of samples per array, and every bracket is
+    bisected in one loop, each stopping on its own, so a pair's crossings
+    are the same numbers whatever else is in the batch.  Points of one pair within
+    ``dedupe_radius`` are merged.  Raises ``ValueError`` when the two curves
+    of a pair live on different rectangles.
+    """
+
+    if any(c1.field.rect != c2.field.rect for c1, c2 in pairs):
+        raise ValueError("curves live on different parameter rectangles")
+    # every distinct curve's arcs once, then one row per pair of their arcs
+    first: dict[int, int] = {}
+    arcs: list[Arc] = []
+    terms: list[tuple[float, float]] = []
+    for curve in (c for pair in pairs for c in pair):
+        if id(curve) not in first:
+            first[id(curve)] = len(arcs)
+            arcs += curve.arcs
+            terms += [(curve.field.k0, curve.level)] * len(curve.arcs)
+    rows = _arc_rows(arcs)
+    field_terms = np.array(terms, dtype=float).reshape(-1, 2)
+    combos = np.array(
+        [
+            (n, first[id(c1)] + a, first[id(c2)] + b, max(c1.res, c2.res))
+            for n, (c1, c2) in enumerate(pairs)
+            for a in range(len(c1.arcs))
+            for b in range(len(c2.arcs))
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 4)
+    owner, i1, i2, res = combos.T
+    arcs1, arcs2 = _stacked(rows[i1]), _stacked(rows[i2])
+    lo, hi = np.maximum(arcs1.x0, arcs2.x0), np.minimum(arcs1.x1, arcs2.x1)
+
+    # sample the gaps, at most _SAMPLES_PER_ARRAY values at a time, and keep
+    # every sign change as (arc pair, lo, hi)
+    brackets = []
+    for r in np.unique(res[hi > lo]):
+        overlapping = np.flatnonzero((hi > lo) & (res == r))
+        step = max(1, _SAMPLES_PER_ARRAY // (r + 1))
+        for group in np.split(overlapping, range(step, overlapping.size, step)):
+            xs = np.linspace(lo[group], hi[group], r + 1)
+            above = _stacked(rows[i1[group]])(xs) - _stacked(rows[i2[group]])(xs) >= 0.0
+            col, k = np.nonzero((above[:-1] != above[1:]).T)
+            brackets.append((group[col], xs[k, col], xs[k + 1, col]))
+    found: list[list[IntersectionPoint]] = [[] for _ in pairs]
+    if brackets:
+        combo, a, b = (np.concatenate(part) for part in zip(*brackets))
+        order = np.argsort(combo, kind="stable")
+        combo, a, b = combo[order], a[order], b[order]
+        # the first arcs of the brackets' pairs, then the second ones
+        ends = np.concatenate([i1[combo], i2[combo]])
+        stacked = _stacked(rows[ends])
+
+        def gap(x):
+            y1, y2 = np.split(stacked(np.concatenate([x, x])), 2)
+            return y1 - y2
+
+        a, b = _bisect(gap, a, b, refine_tol)
+        x = 0.5 * (a + b)
+        x2 = np.concatenate([x, x])
+        y1, y2 = np.split(stacked(x2), 2)
+        y = 0.5 * (y1 + y2)
+        k0, level = field_terms[ends].T
+        off = np.abs(stacked.u(x2) + stacked.v(np.concatenate([y, y])) + k0 - level)
+        residual = np.maximum(*np.split(off, 2))
+        refined = (b - a <= refine_tol) & (np.abs(y1 - y2) <= refine_tol)
+        for n, px, py, err, ok in zip(
+            owner[combo].tolist(), x.tolist(), y.tolist(), residual.tolist(), refined.tolist()
+        ):
+            found[n].append(IntersectionPoint(px, py, err, ok))
+    sets = []
+    for points in found:
+        points = _dedupe_points(points, dedupe_radius)
+        sets.append(IntersectionSet(points, bound_exceeded=len(points) > bound))
+    return sets
+
+
 def intersect_curves(
     curve1: LevelCurve,
     curve2: LevelCurve,
@@ -237,47 +369,14 @@ def intersect_curves(
     dedupe_radius: float = DEFAULT_DEDUPE_RADIUS,
     bound: int = CURVE_PAIR_CROSSING_BOUND,
 ) -> IntersectionSet:
-    """All crossing points of two curves over the same domain.
+    """All crossing points of two curves over the same domain: the one-pair
+    call of ``intersect_curve_pairs``, which describes the search.  Raises
+    ``ValueError`` when the curves live on different rectangles."""
 
-    For every two arcs whose x-ranges overlap, ``y1(x) - y2(x)`` is sampled at
-    ``res + 1`` points of the overlap and each sign change bisected until the
-    x-bracket and the gap at its midpoint are both within ``refine_tol``; the
-    crossing is that midpoint, at the mean of the two ordinates.  A point is
-    ``refined`` when the bisection got there.  Points within
-    ``dedupe_radius`` are merged.
-    """
-
-    if curve1.field.rect != curve2.field.rect:
-        raise ValueError("curves live on different parameter rectangles")
-    found = []
-    for arc1 in curve1.arcs:
-        for arc2 in curve2.arcs:
-            lo, hi = max(arc1.x0, arc2.x0), min(arc1.x1, arc2.x1)
-            if hi <= lo:
-                continue
-
-            def gap(x):
-                return arc1(x) - arc2(x)
-
-            xs = np.linspace(lo, hi, max(curve1.res, curve2.res) + 1)
-            above = gap(xs) >= 0.0
-            k = np.flatnonzero(above[:-1] != above[1:])
-            if k.size == 0:
-                continue
-            a, b = _bisect(gap, xs[k], xs[k + 1], refine_tol)
-            x = 0.5 * (a + b)
-            y1, y2 = arc1(x), arc2(x)
-            y = 0.5 * (y1 + y2)
-            residual = np.maximum(
-                np.abs(curve1.field(x, y) - curve1.level), np.abs(curve2.field(x, y) - curve2.level)
-            )
-            refined = (b - a <= refine_tol) & (np.abs(y1 - y2) <= refine_tol)
-            found += [
-                IntersectionPoint(float(px), float(py), float(r), bool(ok))
-                for px, py, r, ok in zip(x, y, residual, refined)
-            ]
-    points = _dedupe_points(found, dedupe_radius)
-    return IntersectionSet(points, bound_exceeded=len(points) > bound)
+    (hits,) = intersect_curve_pairs(
+        [(curve1, curve2)], refine_tol, dedupe_radius=dedupe_radius, bound=bound
+    )
+    return hits
 
 
 def curves_to_csv(curves: Iterable[LevelCurve]) -> str:

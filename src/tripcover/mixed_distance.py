@@ -246,9 +246,20 @@ def axis_argmin(t0, h, s, c, length):
     return np.clip(np.where(interior, t0 - lean, np.where(c > 0.0, 0.0, length)), 0.0, length)
 
 
+def _select(cond, a, b):
+    """``np.where(cond, a, b)``, without numpy's call cost on a scalar ``cond``."""
+
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
 @dataclass(frozen=True)
 class Axis:
-    """One axis term ``u(t) = hypot(s*(t - t0), h) + c*t`` on ``[0, length]``."""
+    """One axis term ``u(t) = hypot(s*(t - t0), h) + c*t`` on ``[0, length]``.
+
+    The fields may also be equal-shape arrays, one element per axis term, so
+    that many terms evaluate and invert in one call, broadcasting against
+    ``t`` and ``value``; ``argmin`` is then an array too.
+    """
 
     t0: float
     h: float
@@ -261,13 +272,14 @@ class Axis:
 
     @cached_property
     def argmin(self) -> float:
-        return float(axis_argmin(self.t0, self.h, self.s, self.c, self.length))
+        at = axis_argmin(self.t0, self.h, self.s, self.c, self.length)
+        return at if np.ndim(at) else float(at)
 
     @cached_property
     def minimum(self) -> float:
         return float(self(self.argmin))
 
-    def inverse(self, value, side: int):
+    def inverse(self, value, side):
         """``t`` with ``u(t) = value`` on the falling (``side`` 0) or rising side.
 
         ``hypot(s*d, h) = w - c*d`` with ``d = t - t0``, ``w = value - c*t0``
@@ -275,6 +287,7 @@ class Axis:
         cancellation.  When ``|c| < s`` both roots are genuine and the side
         picks one; otherwise ``u`` is monotone and the genuine root has ``w -
         c*d >= 0``.  Clamped to the side, so out-of-range values map to an end.
+        ``side`` may be an array, one per axis term of an array ``Axis``.
         """
 
         s, c, h = self.s, self.c, self.h
@@ -282,9 +295,11 @@ class Axis:
         k = s * s - c * c
         q = -(c * w + np.copysign(np.sqrt(np.maximum(s * s * w * w - k * h * h, 0.0)), c * w))
         d = np.divide(h * h - w * w, q, out=np.full(q.shape, np.nan), where=q != 0.0)
-        if k != 0.0:
-            d = (np.fmin if (side == 0) != (k < 0.0) else np.fmax)(q / k, d)
-        lo, hi = (0.0, self.argmin) if side == 0 else (self.argmin, self.length)
+        # the other root, NaN when k = 0, which fmin and fmax then ignore
+        other = np.divide(q, k, out=np.full(q.shape, np.nan), where=k != 0.0)
+        falling = side == 0
+        d = _select(falling != (k < 0.0), np.fmin(other, d), np.fmax(other, d))
+        lo, hi = _select(falling, 0.0, self.argmin), _select(falling, self.argmin, self.length)
         return np.fmin(np.fmax(self.t0 + d, lo), hi)
 
     def sublevel(self, value) -> tuple[float, float] | None:

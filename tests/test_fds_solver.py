@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tripcover import parse_instance
+from tripcover import fds_solver, parse_instance
 from tripcover.fds_solver import (
     PROV_FALLBACK,
     axis_floor,
@@ -23,7 +24,7 @@ from tripcover.fds_solver import (
     solve_global,
     solve_restricted,
 )
-from tripcover.level_curves import trace_level_curve
+from tripcover.level_curves import intersect_curves, trace_level_curve
 from tripcover.mixed_distance import (
     SegmentGeometry,
     branch_field,
@@ -34,6 +35,7 @@ from tripcover.mixed_distance import (
 from tripcover.model import network_point
 from tripcover.preprocess import preprocess_network
 from conftest import (
+    SUITE_SEEDS,
     SUITE_TRACE_RES,
     antipodal_problem,
     fig4_doc,
@@ -745,6 +747,89 @@ def test_grid3_matches_fine_oracle():
     sol, stats = solve_global(inst, trace_res=128)
     assert stats["restricted_problems"] == 703
     assert sol.objective == oracle_grid(inst, res=200).objective
+
+
+BATCH_DOCS = [random_instance_doc(seed) for seed in SUITE_SEEDS] + [
+    fig4_doc(),
+    trapezoid_doc(0.3),
+    trapezoid_doc(0.4),
+    grid_instance_doc(3, 8, 30),
+]
+
+
+def _bits(points):
+    return [(p.x.hex(), p.y.hex(), p.residual.hex(), p.refined) for p in points]
+
+
+def _per_pair_counters(inst, rp, trace_res):
+    """``solve_restricted``'s crossing counters from one crossing search per
+    O/D pair and per two O/D pairs, not one per problem."""
+
+    floors = field_floors(inst, rp)
+    scale = fds_solver._rounding_scale(inst)
+    curves = [
+        fds_solver._trace_pair(inst, rp, pair, floors[k], scale, trace_res).curves
+        for k, pair in enumerate(inst.pairs)
+    ]
+    counters = dict.fromkeys(["intersections", "max_curve_pair_intersections", "bound_exceeded"], 0)
+    counters["curves"] = sum(len(c) for c in curves)
+    per_call = [pair_candidates(rp, c)[1] for c in curves]
+    ends = [(p.origin, p.dest) for p in inst.pairs]
+    for i, j in itertools.combinations(range(len(curves)), 2):
+        if curves[i] and curves[j]:
+            points, stats = cross_pair_candidates(ends[i], ends[j], curves[i], curves[j])
+            per_call.append({**stats, "intersections": len(points)})
+    for stats in per_call:
+        counters["intersections"] += stats["intersections"]
+        counters["max_curve_pair_intersections"] = max(
+            counters["max_curve_pair_intersections"], stats["max_curve_pair"]
+        )
+        counters["bound_exceeded"] += stats["bound_exceeded"]
+    return counters
+
+
+def test_batched_crossings_equal_one_pair_calls(monkeypatch):
+    # every problem solve_global solves crosses all its curve pairs in one
+    # batch; each pair's crossings and the problem's counters must be those
+    # of crossing the pairs one at a time
+    batches, solved = [], []
+    kernel, solve = fds_solver.intersect_curve_pairs, fds_solver.solve_restricted
+
+    def record_batch(pairs, *args, **kwargs):
+        sets = kernel(pairs, *args, **kwargs)
+        batches.append((pairs, sets))
+        return sets
+
+    def record_solve(inst, rp, **params):
+        sol = solve(inst, rp, **params)
+        solved.append((inst, rp, sol))
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fds_solver, "intersect_curve_pairs", record_batch)
+        patch.setattr(fds_solver, "solve_restricted", record_solve)
+        for doc in BATCH_DOCS:
+            solve_global(parse_instance(doc), trace_res=SUITE_TRACE_RES)
+    assert len(batches) == len(solved) >= 30
+    crossings = 0
+    for pairs, sets in batches:
+        assert len(sets) == len(pairs)
+        for (c1, c2), found in zip(pairs, sets):
+            alone = intersect_curves(c1, c2)
+            assert _bits(found.points) == _bits(alone.points)
+            assert found.bound_exceeded == alone.bound_exceeded
+            crossings += len(found)
+    assert crossings >= 150
+    for inst, rp, sol in solved:
+        counters = {k: v for k, v in sol.counters.items() if k != "omega"}
+        assert counters == _per_pair_counters(inst, rp, SUITE_TRACE_RES)
+
+
+@pytest.mark.slow
+def test_grid3_30_pairs_reaches_the_finer_oracle():
+    inst = parse_instance(grid_instance_doc(3, 8, 30))
+    sol, _ = solve_global(inst, trace_res=128)
+    assert sol.objective >= oracle_grid(inst, res=400).objective
 
 
 @pytest.mark.slow

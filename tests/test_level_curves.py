@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from tripcover import parse_instance
 from tripcover.fds_solver import restricted_problems
 from tripcover.level_curves import (
+    Arc,
+    _arc_rows,
+    _bisect,
+    _stacked,
     curves_to_csv,
     intersect_curves,
     minimize,
@@ -102,6 +106,54 @@ def test_axis_inverse_and_minimum_are_exact(axis, frac):
     # a value beyond the side's range maps to the side's far end
     end = 0.0 if side == 0 else axis.length
     assert float(axis.inverse(axis(end) + 1.0, side)) == pytest.approx(end, abs=1e-12 * scale)
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def arcs(draw):
+    """An arc over two drawn axis terms, its target and side, and an x-range
+    inside ``u``'s domain."""
+
+    u, v = draw(axes()), draw(axes())
+    x0, x1 = sorted(draw(st.floats(0.0, 1.0, **finite)) * u.length for _ in range(2))
+    target = draw(st.floats(-20.0, 60.0, **finite))
+    return Arc(u, v, target, draw(st.sampled_from([0, 1])), x0, x1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(arcs(), min_size=1, max_size=6))
+def test_stacked_arcs_evaluate_like_each_arc(arc_list):
+    # the batched crossing search evaluates many arcs as one stacked Arc; it
+    # must give the numbers each arc gives alone
+    stacked = _stacked(_arc_rows(arc_list))
+    xs = np.linspace([a.x0 for a in arc_list], [a.x1 for a in arc_list], 33)
+    together = stacked(xs)
+    assert together.shape == xs.shape
+    assert np.array_equal(bits(stacked.v.argmin), bits([a.v.argmin for a in arc_list]))
+    for k, arc in enumerate(arc_list):
+        assert np.array_equal(bits(together[:, k]), bits(arc(xs[:, k])))
+        assert np.array_equal(bits(stacked(xs[7])[k]), bits(arc(xs[7, k])))
+
+
+def test_bisection_of_a_bracket_ignores_its_batch():
+    # brackets of different widths converge after different numbers of
+    # halvings; each must end where it ends when bisected alone
+    roots = np.array([0.3, 1.7, 2.0, 5.1])
+    lo = np.array([0.0, 1.7 - 1e-6, 1.0, -40.0])
+    hi = np.array([1.0, 1.7 + 3e-6, 2.5, 7.0])
+
+    def cubic(which):
+        return lambda x: x**3 - roots[which] ** 3
+
+    for tol in (1e-9, 0.0):
+        a, b = _bisect(cubic(slice(None)), lo, hi, tol)
+        for k in range(len(roots)):
+            a1, b1 = _bisect(cubic(slice(k, k + 1)), lo[k : k + 1], hi[k : k + 1], tol)
+            assert bits(a1) == bits(a[k]) and bits(b1) == bits(b[k])
+            assert a[k] <= roots[k] <= b[k] or abs(0.5 * (a[k] + b[k]) - roots[k]) <= 1e-9
 
 
 @pytest.mark.parametrize("transform", [{}, {"scale": 1e-3}, {"scale": 1e6}, {"shift": 1e6}])

@@ -1,7 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripcover import parse_instance
+from tripcover.level_curves import DEFAULT_DEDUPE_RADIUS
 from tripcover.mixed_distance import network_distance
 from tripcover.preprocess import (
     TYPE1,
@@ -304,3 +310,73 @@ def test_forms_match_insertion_distance(trapezoid, random_suite):
                 assert float(network_distance(pc, x, y)) == pytest.approx(
                     expected, abs=1e-9
                 )
+
+
+@st.composite
+def pinched_networks(draw):
+    """A connected network of 3 to 5 vertices with the cases the segment
+    classification must get right drawn on purpose: edge lengths below the
+    gap between their ends, collinear vertices with edges passing over one
+    another, a segment shorter than ``DEFAULT_DEDUPE_RADIUS``, and facilities
+    on the network.
+
+    The triangle 0-1-2 comes first; with a pinch ``delta``, edge 0-2 is
+    ``2*delta`` shorter than the route through 1, so vertex 2's bottleneck on
+    edge 0-1 sits ``delta`` from vertex 0.  Returns the instance document and
+    the facilities' (edge, arc length) network points.
+    """
+
+    n = draw(st.integers(3, 5))
+    collinear = draw(st.booleans())
+    xs = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))
+    ys = [0] * n if collinear else draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    pos = [(x + 0.5 * k / n, y) for k, (x, y) in enumerate(zip(xs, ys))]
+    pairs = [(0, 1), (1, 2), (0, 2)] + [(draw(st.integers(0, v - 1)), v) for v in range(3, n)]
+    pinch = draw(st.none() | st.floats(2e-9, 0.9 * DEFAULT_DEDUPE_RADIUS))
+    if pinch is None:
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+        pairs += [(u, w) for u, w in extra if u < w and (u, w) not in pairs]
+    factor = st.sampled_from([0.1, 0.5, 1.0]) | st.floats(0.1, 3.0)
+    lengths = [math.dist(pos[u], pos[w]) * draw(factor) for u, w in pairs]
+    if pinch is not None:
+        lengths[2] = lengths[0] + lengths[1] - 2.0 * pinch
+    on_network = draw(
+        st.lists(st.tuples(st.integers(0, len(pairs) - 1), st.floats(0.0, 1.0)), max_size=3)
+    )
+    facilities = []
+    for k, (edge, frac) in enumerate(on_network):
+        (ux, uy), (wx, wy) = pos[pairs[edge][0]], pos[pairs[edge][1]]
+        facilities.append({"id": k, "x": ux + frac * (wx - ux), "y": uy + frac * (wy - uy)})
+    doc = {
+        "alpha": 0.3,
+        "vertices": [{"id": v, "x": x, "y": y} for v, (x, y) in enumerate(pos)],
+        "edges": [
+            {"u": u, "w": w, "length": length} for (u, w), length in zip(pairs, lengths)
+        ],
+        "facilities": facilities,
+        "pairs": [],
+    }
+    points = [(edge, frac * lengths[edge]) for edge, frac in on_network]
+    return doc, points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pinched_networks(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_classification_matches_insertion_distance(case, fx, fy):
+    # every ordered segment pair's distance form against an independent
+    # point-to-point shortest path, at the corners, one drawn point and every
+    # facility's network point on either segment
+    doc, facility_points = case
+    net = parse_instance(doc).network
+    prep = preprocess_network(net)
+    for seg_p, seg_q in itertools.product(prep.segments, repeat=2):
+        pc = classify_segment_pair(seg_p, seg_q, prep.dist, net)
+        xs = [0.0, fx * pc.len_p, pc.len_p]
+        ys = [0.0, fy * pc.len_q, pc.len_q]
+        xs += [t - seg_p.start for e, t in facility_points if e == seg_p.edge and seg_p.start <= t <= seg_p.end]
+        ys += [t - seg_q.start for e, t in facility_points if e == seg_q.edge and seg_q.start <= t <= seg_q.end]
+        for x, y in itertools.product(xs, ys):
+            expected = insertion_distance(
+                net, (seg_p.edge, seg_p.start + x), (seg_q.edge, seg_q.start + y)
+            )
+            assert float(network_distance(pc, x, y)) == pytest.approx(expected, abs=1e-9)
