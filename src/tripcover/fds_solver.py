@@ -55,10 +55,14 @@ import heapq
 import itertools
 import logging
 import math
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.util import Finalize
 from types import SimpleNamespace
 from typing import Iterator, Mapping, Sequence
 
@@ -469,8 +473,8 @@ def _pair_points(
         for branch in branches:
             curve = curves.get((orientation, branch))
             if curve is not None and not curve.empty:
-                v = curve.polylines[0][0]
-                points.append((float(v[0]), float(v[1])))
+                arc = curve.arcs[0]
+                points.append((float(arc.x0), float(arc(arc.x0))))
     return points, stats
 
 
@@ -482,9 +486,9 @@ def pair_candidates(
     """Candidate points contributed by one O/D pair's own curves.
 
     Per boarding order: the crossings of the two branch curves when they
-    cross, otherwise the first vertex of each nonempty curve.  Type 2 pairs
-    have a single curve per orientation and contribute one arbitrary point
-    from it.  An orientation with no curve contributes nothing.
+    cross, otherwise the start of each nonempty curve's first arc.  Type 2
+    pairs have a single curve per orientation and contribute one arbitrary
+    point from it.  An orientation with no curve contributes nothing.
     """
 
     pairs = _branch_pairs(rp, curves)
@@ -805,16 +809,47 @@ def _record(
     return sol if best is None or _rank(sol) < _rank(best) else best
 
 
-_worker_args: tuple[ProblemInstance, dict] | None = None
+# One pool per (process, worker count), started by the first solve that needs
+# it and kept for the life of the process, so a caller solving many instances
+# pays the start-up once.  The pid in the key gives a forked child its own
+# pool: the parent's manager thread does not exist in the child.
+_pools: dict[tuple[int, int], ProcessPoolExecutor] = {}
 
 
-def _init_worker(inst: ProblemInstance, params: dict) -> None:
-    global _worker_args
-    _worker_args = (inst, params)
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _solve_task(rp: RestrictedProblem) -> FdsSolution:
-    inst, params = _worker_args
+def _exit_with_owner() -> None:
+    """Worker initializer: end the worker when the process owning its pool
+    ends without shutting the pool down (killed, or ``os._exit``); an idle
+    worker would otherwise wait for tasks forever."""
+
+    owner = multiprocessing.parent_process()
+
+    def watch() -> None:
+        owner.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers, started on first use."""
+
+    key = (os.getpid(), workers)
+    if key not in _pools:
+        pool = _pools[key] = ProcessPoolExecutor(workers, initializer=_exit_with_owner)
+        # A multiprocessing child joins its children at exit before the exit
+        # hook of concurrent.futures would stop them.  Shut the pool down
+        # first, and ahead of the finalizers (priority 10) closing its queues.
+        Finalize(None, pool.shutdown, exitpriority=20)
+    return _pools[key]
+
+
+def _solve_task(inst: ProblemInstance, params: dict, rp: RestrictedProblem) -> FdsSolution:
     return solve_restricted(inst, rp, **params)
 
 
@@ -832,6 +867,29 @@ class _Search:
 def _search(
     inst: ProblemInstance, prep: Preprocessed, cov_tol: float, params: dict, jobs: int
 ) -> _Search:
+    """``_best_first``, in-process or in this process's pool of ``min(jobs,
+    usable CPUs)`` workers when that is above one.  A broken pool (a worker
+    died, say killed between solves) is replaced and the search run once more.
+    """
+
+    workers = min(jobs, _usable_cpus())
+    if workers == 1:
+        return _best_first(inst, prep, cov_tol, params, None, 1)
+    try:
+        return _best_first(inst, prep, cov_tol, params, _pool(workers), workers)
+    except BrokenProcessPool:
+        _pools.pop((os.getpid(), workers)).shutdown()
+    return _best_first(inst, prep, cov_tol, params, _pool(workers), workers)
+
+
+def _best_first(
+    inst: ProblemInstance,
+    prep: Preprocessed,
+    cov_tol: float,
+    params: dict,
+    pool: ProcessPoolExecutor | None,
+    width: int,
+) -> _Search:
     """Best-first search over edge pairs and restricted problems in one heap.
 
     Both are keyed ``(-bound, index)``; an edge pair's index is that of its
@@ -839,7 +897,8 @@ def _search(
     member is keyed ahead of its edge pair and the keys are unique.  The
     search pops the least key while it may still beat or tie the incumbent:
     an edge pair is classified and its members bounded and pushed, a problem
-    is solved in-process, or in a pool that holds at most ``jobs`` of them.
+    is solved in-process, or in ``pool`` with at most ``width`` in flight.
+    Each pool task carries the instance, the parameters and the problem.
     """
 
     n = len(prep.segments)
@@ -852,34 +911,28 @@ def _search(
     member_bounds = _problem_bounder(inst, prep, cov_tol)
     out = _Search(None, {}, {}, {}, 0)
     pending: set = set()
-    pool = None
-    if jobs > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(inst, params)
-        )
-    with pool or nullcontext():
-        while True:
-            while heap and len(pending) < jobs and _may_win(-heap[0][0], heap[0][1], out.best):
-                negated, _, node = heapq.heappop(heap)
-                if isinstance(node, RestrictedProblem):
-                    if pool is not None:
-                        pending.add(pool.submit(_solve_task, node))
-                    else:
-                        sol = solve_restricted(inst, node, **params)
-                        out.best = _record(sol, out.results, out.best)
-                    continue
-                members = restricted_problems(inst, prep, edges=node)
-                out.edge_pairs += 1
-                for rp, bound in zip(members, member_bounds(members).tolist()):
-                    bound = min(bound, -negated)
-                    out.bounds[rp.index] = bound
-                    out.problems[rp.index] = rp
-                    heapq.heappush(heap, (-bound, rp.index, rp))
-            if not pending:
-                return out
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                out.best = _record(future.result(), out.results, out.best)
+    while True:
+        while heap and len(pending) < width and _may_win(-heap[0][0], heap[0][1], out.best):
+            negated, _, node = heapq.heappop(heap)
+            if isinstance(node, RestrictedProblem):
+                if pool is not None:
+                    pending.add(pool.submit(_solve_task, inst, params, node))
+                else:
+                    sol = solve_restricted(inst, node, **params)
+                    out.best = _record(sol, out.results, out.best)
+                continue
+            members = restricted_problems(inst, prep, edges=node)
+            out.edge_pairs += 1
+            for rp, bound in zip(members, member_bounds(members).tolist()):
+                bound = min(bound, -negated)
+                out.bounds[rp.index] = bound
+                out.problems[rp.index] = rp
+                heapq.heappush(heap, (-bound, rp.index, rp))
+        if not pending:
+            return out
+        done, pending = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            out.best = _record(future.result(), out.results, out.best)
 
 
 def solve_global(
@@ -900,8 +953,10 @@ def solve_global(
     objective, ties by problem index then lexicographic point.  Problems are
     solved in the same order, under the same test.  The result is therefore
     the one a sweep over every problem returns.  With ``jobs`` above one, up
-    to ``jobs`` problems run at once in a process pool that receives the
-    instance once.
+    to ``min(jobs, usable CPUs)`` problems run at once in a process pool of
+    that many workers.  The pool is started by the first such solve and kept
+    for the life of the process, so later solves skip its start-up; each task
+    carries its instance.
 
     Returns the solution plus a stats dict.  ``solved`` counts the *required*
     problems, those whose bound beats the optimum or ties it at an index up

@@ -1,5 +1,10 @@
 import itertools
 import math
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures import Future, wait
 
 import numpy as np
 import pytest
@@ -364,6 +369,176 @@ def test_parallel_jobs_bitwise_identical(trapezoid_a04):
         assert stats1 == stats2
         assert stats1["pruned"] > 0
     assert stats1["solved"] > 4  # seed 139 keeps all four workers busy
+
+
+def _outcome(sol, stats):
+    """A solve's answer and stats, without the run-dependent ``runtime_ms``."""
+
+    return sol.objective, sol.x1, sol.x2, sol.covered, {
+        k: v for k, v in stats.items() if k != "runtime_ms"
+    }
+
+
+needs_pool = pytest.mark.skipif(
+    fds_solver._usable_cpus() < 2, reason="jobs=2 solves in-process on one usable CPU"
+)
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+@pytest.fixture
+def own_pools(monkeypatch):
+    """An empty pool registry for one test, whose pools are shut down after
+    it; yields a function listing the child processes started since."""
+
+    pools, before = {}, set(multiprocessing.active_children())
+    monkeypatch.setattr(fds_solver, "_pools", pools)
+    yield lambda: [p for p in multiprocessing.active_children() if p not in before]
+    for pool in pools.values():
+        pool.shutdown()
+
+
+@needs_pool
+def test_pool_reused_across_solves_without_carrying_state(own_pools):
+    # each task carries its instance and parameters: a worker that kept the
+    # first solve's would give the first answer again
+    fig4 = parse_instance(fig4_doc())
+    runs = [
+        (fig4, dict(trace_res=96)),
+        (parse_instance(random_instance_doc(139)), dict(trace_res=128)),
+        (fig4, dict(trace_res=96, cov_tol=1.0)),
+    ]
+    workers = []
+    for inst, params in runs:
+        pooled = _outcome(*solve_global(inst, jobs=2, **params))
+        assert pooled == _outcome(*solve_global(inst, jobs=1, **params))
+        workers.append({p.pid for p in own_pools()})
+    assert workers[0] and workers[1] == workers[0] and workers[2] == workers[0]
+
+
+def _solve_in_child(conn, inst) -> None:
+    conn.send(_outcome(*solve_global(inst, trace_res=96, jobs=2)))
+    conn.close()
+
+
+@needs_pool
+@needs_fork
+def test_forked_child_starts_its_own_pool():
+    # the child inherits the parent's pool but not the thread that runs it,
+    # and it must shut its own pool down at exit or wait for it forever
+    inst = parse_instance(random_instance_doc(139))
+    expected = _outcome(*solve_global(inst, trace_res=96, jobs=1))
+    assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_solve_in_child, args=(writer, inst))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(60), "the child's solve did not finish"
+        assert reader.recv() == expected
+        child.join(60)
+        assert not child.is_alive(), "the child did not exit"
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.terminate()
+            child.join()
+
+
+@needs_pool
+def test_dead_worker_does_not_fail_the_next_solve(own_pools):
+    inst = parse_instance(random_instance_doc(139))
+    expected = _outcome(*solve_global(inst, trace_res=96, jobs=1))
+    assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
+    worker = own_pools()[0]
+    worker.kill()
+    worker.join(30)
+    assert not worker.is_alive()
+    for _ in range(2):  # the solve that replaces the pool, and one on the replacement
+        assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
+
+
+def _solve_and_vanish(conn, inst) -> None:
+    solve_global(inst, trace_res=96, jobs=2)
+    conn.send([p.pid for p in multiprocessing.active_children()])
+    conn.close()
+    os._exit(0)  # skips every exit hook, as a killed process would
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_pool
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_pool_workers_exit_with_their_owner():
+    inst = parse_instance(random_instance_doc(139))
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    owner = ctx.Process(target=_solve_and_vanish, args=(writer, inst))
+    owner.start()
+    writer.close()
+    workers = []
+    try:
+        assert reader.poll(60), "the owner's solve did not finish"
+        workers = reader.recv()
+        owner.join(60)
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers)), "an orphaned worker is still running"
+    finally:
+        if owner.is_alive():
+            owner.kill()
+            owner.join()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_pool_capped_at_usable_cpus(monkeypatch):
+    # a fake pool that runs each task at submit: a real one with a huge
+    # ``jobs`` would fork that many processes
+    sizes, in_flight = [], []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self):
+            pass
+
+    def counting_wait(fs, return_when):
+        in_flight.append(len(fs))
+        return wait(fs, return_when=return_when)
+
+    monkeypatch.setattr(fds_solver, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(fds_solver, "wait", counting_wait)
+    monkeypatch.setattr(fds_solver, "_pools", {})
+    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 3)
+    inst = parse_instance(random_instance_doc(139))
+    expected = _outcome(*solve_global(inst, trace_res=96, jobs=1))
+    for _ in range(2):  # the second solve reuses the first one's pool
+        assert _outcome(*solve_global(inst, trace_res=96, jobs=10_000)) == expected
+    assert sizes == [3] and max(in_flight) == 3
+    in_flight.clear()
+    assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
+    assert sizes == [3, 2] and max(in_flight) == 2
+    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 1)
+    assert _outcome(*solve_global(inst, trace_res=96, jobs=10_000)) == expected
+    assert sizes == [3, 2]  # one usable CPU solves in-process
 
 
 def _bounds(inst):
