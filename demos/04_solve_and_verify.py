@@ -10,7 +10,8 @@ entirely.
 import math
 
 from tripcover import parse_instance
-from tripcover.fds_solver import evaluate_point_pair, oracle_grid, solve_global
+from tripcover.fds_solver import solve_global
+from tripcover.oracle import evaluate_point_pair, oracle_grid
 from tripcover.preprocess import all_pairs_shortest_paths
 
 S6 = 2 * math.sqrt(6)

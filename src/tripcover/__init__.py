@@ -2,7 +2,7 @@
 total weight of origin/destination pairs preferring the mixed route is
 maximized."""
 
-from .fds_solver import OracleResult, oracle_grid, solve_global
+from .fds_solver import solve_global
 from .model import (
     InstanceFormatError,
     Network,
@@ -17,5 +17,6 @@ from .model import (
     serialize_instance,
     validate_instance,
 )
+from .oracle import OracleResult, oracle_grid
 
 __version__ = "0.1.0"

@@ -15,12 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .fds_solver import (
-    evaluate_point_pair,
-    oracle_grid,
-    restricted_problems,
-    solve_global,
-)
+from .fds_solver import restricted_problems, solve_global
 from .level_curves import curves_to_csv, trace_level_curve
 from .mixed_distance import BRANCH_A, BRANCH_B, ORIENTATIONS, branch_field
 from .model import (
@@ -30,6 +25,7 @@ from .model import (
     network_point,
     validate_instance,
 )
+from .oracle import evaluate_point_pair, oracle_grid
 from .preprocess import TYPE1, all_pairs_shortest_paths, preprocess_instance
 
 

@@ -42,11 +42,6 @@ restricted problems, and those are bounded, only once its own bound can still
 beat or tie the incumbent, and a problem is solved only while its bound can.
 Inside a problem the same floors skip every field that cannot reach the
 level.  The answer is the one a full sweep returns.
-
-A brute-force grid oracle over edge-pair rectangles provides an independent
-lower bound used for verification; it evaluates network distances directly
-from the vertex distance matrix and never touches the segment classification
-machinery.
 """
 
 from __future__ import annotations
@@ -103,7 +98,6 @@ from .mixed_distance import (
     segment_geometry,
 )
 from .model import (
-    NetworkPoint,
     ODPair,
     ProblemInstance,
     Solution,
@@ -117,6 +111,9 @@ from .preprocess import (
     classify_segment_pair,
     preprocess_network,
 )
+# bench/run.py checks every answer with fds_solver.oracle_grid; the oracle lives
+# in its own module and shares no code with the solver
+from .oracle import oracle_grid  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -1019,172 +1016,3 @@ def solve_global(
         "runtime_ms": (time.perf_counter() - started) * 1000.0,
     }
     return solution, stats
-
-
-# ---------------------------------------------------------------------------
-# independent grid oracle
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    x1: NetworkPoint
-    x2: NetworkPoint
-    objective: float
-
-
-def _edge_positions(net, edge: int, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e = net.edges[edge]
-    pu, pw = net.edge_endpoints(edge)
-    frac = ts / e.length
-    return pu.x + frac * (pw.x - pu.x), pu.y + frac * (pw.y - pu.y)
-
-
-def edge_pair_distance(net, dist: np.ndarray, ei: int, ej: int, p, q):
-    """Exact network distance between points of two edges, vectorized.
-
-    Works directly from the vertex distance matrix: any shortest path leaves
-    the first edge through one of its endpoints and enters the second the
-    same way; on a single edge the in-edge route is a further candidate.
-    """
-
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    idx = net.vertex_index
-    e1 = net.edges[ei]
-    e2 = net.edges[ej]
-    u1, w1 = idx[e1.u], idx[e1.w]
-    u2, w2 = idx[e2.u], idx[e2.w]
-    routes = np.minimum(
-        np.minimum(
-            p + dist[u1, u2] + q,
-            p + dist[u1, w2] + (e2.length - q),
-        ),
-        np.minimum(
-            (e1.length - p) + dist[w1, u2] + q,
-            (e1.length - p) + dist[w1, w2] + (e2.length - q),
-        ),
-    )
-    if ei == ej:
-        routes = np.minimum(routes, np.abs(p - q))
-    return routes
-
-
-def network_point_distance(
-    net, dist: np.ndarray, a: NetworkPoint, b: NetworkPoint
-) -> float:
-    return float(edge_pair_distance(net, dist, a.edge, b.edge, a.arc_length, b.arc_length))
-
-
-def evaluate_point_pair(
-    inst: ProblemInstance,
-    dist: np.ndarray,
-    x1: NetworkPoint,
-    x2: NetworkPoint,
-    tol: float = DEFAULT_COVERAGE_TOL,
-) -> tuple[list[dict], float]:
-    """Per-pair trip lengths and coverage at an arbitrary transfer-point pair."""
-
-    d = network_point_distance(inst.network, dist, x1, x2)
-    rows = []
-    total = 0.0
-    for pair in inst.pairs:
-        a = inst.facility_position(pair.origin)
-        b = inst.facility_position(pair.dest)
-        h12 = (
-            a.distance_to(x1.point) + inst.alpha * d + x2.point.distance_to(b)
-        )
-        h21 = (
-            a.distance_to(x2.point) + inst.alpha * d + x1.point.distance_to(b)
-        )
-        f = min(h12, h21)
-        covered = f <= pair.acceptance + tol
-        if covered:
-            total += pair.weight
-        rows.append(
-            {
-                "i": pair.origin,
-                "j": pair.dest,
-                "h12": h12,
-                "h21": h21,
-                "f": f,
-                "covered": covered,
-            }
-        )
-    return rows, total
-
-
-def oracle_grid(
-    inst: ProblemInstance,
-    res: int = 200,
-    rp: RestrictedProblem | None = None,
-    cov_tol: float = DEFAULT_COVERAGE_TOL,
-    dist: np.ndarray | None = None,
-) -> OracleResult:
-    """Brute-force grid lower bound on the optimal objective.
-
-    Evaluates the coverage objective on a ``res`` x ``res`` grid (endpoints
-    included, so ``res = 2`` samples the corners) over the given restricted
-    rectangle, or over every unordered edge-pair rectangle of the network.
-    Halving the spacing reuses every existing sample, so refining the grid
-    never loses coverage.  By construction the result never exceeds the exact
-    optimum.
-    """
-
-    if res < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {res}")
-
-    if rp is not None:
-        xs = np.linspace(0.0, rp.rect[0], res)
-        ys = np.linspace(0.0, rp.rect[1], res)
-        values = coverage_weights(inst, rp.domain, xs[:, None], ys[None, :], cov_tol)
-        flat = int(np.argmax(values))
-        gi, gj = np.unravel_index(flat, values.shape)
-        x1 = network_point(inst.network, rp.seg_p.edge, rp.seg_p.start + xs[gi])
-        x2 = network_point(inst.network, rp.seg_q.edge, rp.seg_q.start + ys[gj])
-        return OracleResult(x1, x2, float(values[gi, gj]))
-
-    net = inst.network
-    if dist is None:
-        from .preprocess import all_pairs_shortest_paths
-
-        dist = all_pairs_shortest_paths(net)
-
-    facilities = {
-        f.id: (f.position.x, f.position.y) for f in inst.facilities
-    }
-    best_value = -1.0
-    best_points: tuple[NetworkPoint, NetworkPoint] | None = None
-    # per-pair work writes into these, so its cost does not hinge on how the
-    # allocator recycles res x res temporaries
-    f12 = np.empty((res, res))
-    f21 = np.empty((res, res))
-    for ei in range(len(net.edges)):
-        ps = np.linspace(0.0, net.edges[ei].length, res)
-        pxs, pys = _edge_positions(net, ei, ps)
-        for ej in range(ei, len(net.edges)):
-            qs = np.linspace(0.0, net.edges[ej].length, res)
-            qxs, qys = _edge_positions(net, ej, qs)
-            dgrid = edge_pair_distance(net, dist, ei, ej, ps[:, None], qs[None, :])
-            network = inst.alpha * dgrid
-            total = np.zeros_like(dgrid)
-            for pair in inst.pairs:
-                ax, ay = facilities[pair.origin]
-                bx, by = facilities[pair.dest]
-                a_p = np.hypot(ax - pxs, ay - pys)
-                b_q = np.hypot(bx - qxs, by - qys)
-                a_q = np.hypot(ax - qxs, ay - qys)
-                b_p = np.hypot(bx - pxs, by - pys)
-                np.add(np.add(a_p[:, None], network, out=f12), b_q[None, :], out=f12)
-                np.add(np.add(a_q[None, :], network, out=f21), b_p[:, None], out=f21)
-                total[np.minimum(f12, f21, out=f12) <= pair.acceptance + cov_tol] += pair.weight
-            value = float(total.max())
-            if value > best_value:
-                flat = int(np.argmax(total))
-                gi, gj = np.unravel_index(flat, total.shape)
-                best_value = value
-                best_points = (
-                    network_point(net, ei, ps[gi]),
-                    network_point(net, ej, qs[gj]),
-                )
-    assert best_points is not None
-    return OracleResult(best_points[0], best_points[1], best_value)

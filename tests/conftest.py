@@ -5,7 +5,8 @@ The distance oracles here are deliberately separate from the library code:
 points into the graph as degree-2 vertices and running its own Dijkstra, and
 ``enumerated_vertex_distance`` minimizes over all simple vertex paths.  Both
 exist so library results can be checked against something that shares no code
-path with them.
+path with them.  ``reference_oracle_grid`` is the whole-network grid oracle
+with no term skipped, the yardstick of ``oracle_grid``'s skip rule.
 """
 
 from __future__ import annotations
@@ -23,9 +24,14 @@ from tripcover.fds_solver import (
     restricted_problems,
     solve_restricted,
 )
-from tripcover.mixed_distance import pair_domain
-from tripcover.model import Network, ProblemInstance, Solution, network_point
-from tripcover.preprocess import classify_segment_pair, preprocess_network
+from tripcover.mixed_distance import DEFAULT_COVERAGE_TOL, pair_domain
+from tripcover.model import Network, NetworkPoint, ProblemInstance, Solution, network_point
+from tripcover.oracle import _edge_positions
+from tripcover.preprocess import (
+    all_pairs_shortest_paths,
+    classify_segment_pair,
+    preprocess_network,
+)
 
 S6 = 2.0 * math.sqrt(6.0)
 
@@ -187,6 +193,74 @@ def insertion_distance(
                 counter += 1
                 heapq.heappush(heap, (nd, counter, nxt))
     return dist["B"]
+
+
+def _reference_edge_pair_distance(net: Network, dist: np.ndarray, ei: int, ej: int, p, q):
+    """``oracle.edge_pair_distance`` with one temporary array per route."""
+
+    idx = net.vertex_index
+    e1 = net.edges[ei]
+    e2 = net.edges[ej]
+    u1, w1 = idx[e1.u], idx[e1.w]
+    u2, w2 = idx[e2.u], idx[e2.w]
+    routes = np.minimum(
+        np.minimum(
+            p + dist[u1, u2] + q,
+            p + dist[u1, w2] + (e2.length - q),
+        ),
+        np.minimum(
+            (e1.length - p) + dist[w1, u2] + q,
+            (e1.length - p) + dist[w1, w2] + (e2.length - q),
+        ),
+    )
+    if ei == ej:
+        routes = np.minimum(routes, np.abs(p - q))
+    return routes
+
+
+def reference_oracle_grid(
+    inst: ProblemInstance, res: int, cov_tol: float = DEFAULT_COVERAGE_TOL
+) -> tuple[float, NetworkPoint, NetworkPoint]:
+    """The whole-network grid oracle with nothing skipped.
+
+    Every (edge pair, O/D pair) term is evaluated on the full ``res`` x
+    ``res`` grid, so ``oracle_grid`` must return exactly this objective and
+    these points.
+    """
+
+    net = inst.network
+    dist = all_pairs_shortest_paths(net)
+    facilities = {f.id: (f.position.x, f.position.y) for f in inst.facilities}
+    best_value = -1.0
+    best_points = None
+    f12 = np.empty((res, res))
+    f21 = np.empty((res, res))
+    for ei in range(len(net.edges)):
+        ps = np.linspace(0.0, net.edges[ei].length, res)
+        pxs, pys = _edge_positions(net, ei, ps)
+        for ej in range(ei, len(net.edges)):
+            qs = np.linspace(0.0, net.edges[ej].length, res)
+            qxs, qys = _edge_positions(net, ej, qs)
+            dgrid = _reference_edge_pair_distance(net, dist, ei, ej, ps[:, None], qs[None, :])
+            network = inst.alpha * dgrid
+            total = np.zeros_like(dgrid)
+            for pair in inst.pairs:
+                ax, ay = facilities[pair.origin]
+                bx, by = facilities[pair.dest]
+                a_p = np.hypot(ax - pxs, ay - pys)
+                b_q = np.hypot(bx - qxs, by - qys)
+                a_q = np.hypot(ax - qxs, ay - qys)
+                b_p = np.hypot(bx - pxs, by - pys)
+                np.add(np.add(a_p[:, None], network, out=f12), b_q[None, :], out=f12)
+                np.add(np.add(a_q[None, :], network, out=f21), b_p[:, None], out=f21)
+                total[np.minimum(f12, f21, out=f12) <= pair.acceptance + cov_tol] += pair.weight
+            value = float(total.max())
+            if value > best_value:
+                flat = int(np.argmax(total))
+                gi, gj = np.unravel_index(flat, total.shape)
+                best_value = value
+                best_points = (network_point(net, ei, ps[gi]), network_point(net, ej, qs[gj]))
+    return best_value, best_points[0], best_points[1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,10 @@ import numpy as np
 import pytest
 
 from tripcover import parse_instance
-from tripcover.fds_solver import (
-    cross_pair_candidates,
-    edge_pair_distance,
-    oracle_grid,
-    solve_global,
-)
+from tripcover.fds_solver import cross_pair_candidates, solve_global
 from tripcover.level_curves import trace_level_curve
 from tripcover.mixed_distance import branch_field, network_distance
+from tripcover.oracle import edge_pair_distance, oracle_grid
 from tripcover.preprocess import (
     TYPE1,
     all_pairs_shortest_paths,

@@ -80,6 +80,17 @@ def test_solve_parameter_out_of_range_exit1(files, flag, value, name):
     assert name in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize(
+    "command", [["oracle"], ["evaluate", "--x1", "0:1", "--x2", "1:1"]], ids=["oracle", "evaluate"]
+)
+def test_oracle_and_evaluate_cov_tol_out_of_range_exit1(files, command, value):
+    # a NaN cov_tol covers nothing, so an unchecked run would print objective 0 and exit 0
+    proc = run_cli(command[0], "--instance", str(files["fig4"]), *command[1:], f"--cov-tol={value}")
+    assert proc.returncode == 1
+    assert "cov_tol must be finite and >= 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_flag_exit1_with_usage(files):
     proc = run_cli("solve", "--instance", str(files["fig2"]), "--frobnicate")
     assert proc.returncode == 1

@@ -17,12 +17,8 @@ from tripcover.fds_solver import (
     axis_floor,
     cross_pair_candidates,
     edge_pair_bounds,
-    edge_pair_distance,
     edge_pair_floors,
-    evaluate_point_pair,
     field_floors,
-    network_point_distance,
-    oracle_grid,
     pair_candidates,
     problem_bounds,
     restricted_problems,
@@ -38,6 +34,12 @@ from tripcover.mixed_distance import (
     path_length,
 )
 from tripcover.model import network_point
+from tripcover.oracle import (
+    edge_pair_distance,
+    evaluate_point_pair,
+    network_point_distance,
+    oracle_grid,
+)
 from tripcover.preprocess import preprocess_network
 from conftest import (
     SUITE_SEEDS,
@@ -879,6 +881,29 @@ def test_solver_parameters_checked_before_any_work(param, monkeypatch):
             solve_restricted(inst, rp, **param)
 
 
+@pytest.mark.parametrize("cov_tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_oracle_and_evaluate_cov_tol_checked_before_any_work(cov_tol, monkeypatch):
+    # unchecked, a NaN cov_tol covers nothing: both report 0 on fig4 against its optimum 2
+    import tripcover.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before cov_tol was checked")
+
+    inst = parse_instance(fig4_doc())
+    rp = antipodal_problem(inst)
+    dist = preprocess_network(inst.network).dist
+    point = network_point(inst.network, 0, 1.0)
+    for name in ("all_pairs_shortest_paths", "coverage_weights", "network_point_distance"):
+        monkeypatch.setattr(oracle, name, refuse)
+    message = "cov_tol must be finite and >= 0"
+    with pytest.raises(ValueError, match=message):
+        oracle_grid(inst, cov_tol=cov_tol)
+    with pytest.raises(ValueError, match=message):
+        oracle_grid(inst, rp=rp, cov_tol=cov_tol)
+    with pytest.raises(ValueError, match=message):
+        evaluate_point_pair(inst, dist, point, point, tol=cov_tol)
+
+
 def relabelled_doc(doc: dict, seed: int) -> dict:
     """``doc`` reflected through one or both axes, with permuted vertex and
     facility ids and shuffled pairs: the same problem, presented differently."""
@@ -1036,3 +1061,4 @@ def test_grid8_200_pairs_objective():
     sol, stats = solve_global(inst, trace_res=128)
     assert stats["restricted_problems"] == 520710
     assert sol.objective == 79.0
+    assert sol.objective >= oracle_grid(inst, res=100).objective  # both 79
