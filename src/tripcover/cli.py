@@ -45,7 +45,9 @@ _OPTIONS = {
     "--trace-res": dict(type=int, default=256, help="samples per curve arc"),
     "--cov-tol": dict(type=float, default=1e-9, help="coverage test slack"),
     "--refine-tol": dict(type=float, default=1e-9, help="crossing bisection tolerance"),
-    "--jobs": dict(type=int, default=1, help="worker processes"),
+    "--jobs": dict(
+        type=int, default=1, help="processes that solve at once, this one included"
+    ),
 }
 
 

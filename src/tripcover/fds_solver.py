@@ -51,10 +51,11 @@ import itertools
 import logging
 import math
 import multiprocessing
+import numbers
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing.util import Finalize
@@ -160,14 +161,23 @@ class FdsSolution:
     counters: dict[str, int]
 
 
+def _integer_at_least(value, least: int) -> bool:
+    return isinstance(value, numbers.Integral) and value >= least
+
+
 def _check_parameters(trace_res: int, cov_tol: float, refine_tol: float, jobs: int = 1) -> None:
     """Raise ``ValueError`` naming the first solver parameter out of range."""
 
     for ok, name, need, value in (
-        (trace_res >= MIN_TRACE_RES, "trace_res", f">= {MIN_TRACE_RES}", trace_res),
+        (
+            _integer_at_least(trace_res, MIN_TRACE_RES),
+            "trace_res",
+            f"an integer >= {MIN_TRACE_RES}",
+            trace_res,
+        ),
         (math.isfinite(cov_tol) and cov_tol >= 0, "cov_tol", "finite and >= 0", cov_tol),
         (math.isfinite(refine_tol) and refine_tol > 0, "refine_tol", "finite and > 0", refine_tol),
-        (jobs >= 1, "jobs", ">= 1", jobs),
+        (_integer_at_least(jobs, 1), "jobs", "an integer >= 1", jobs),
     ):
         if not ok:
             raise ValueError(f"{name} must be {need}, got {value}")
@@ -806,10 +816,12 @@ def _record(
     return sol if best is None or _rank(sol) < _rank(best) else best
 
 
-# One pool per (process, worker count), started by the first solve that needs
-# it and kept for the life of the process, so a caller solving many instances
-# pays the start-up once.  The pid in the key gives a forked child its own
-# pool: the parent's manager thread does not exist in the child.
+# One pool per (process, worker count), made by the first solve with a worker
+# to spare and kept for the life of the process, so a caller solving many
+# instances pays the start-up once.  Its workers are forked at the first
+# submit, so a pool that is never sent a task costs no process.  The pid in
+# the key gives a forked child its own pool: the parent's manager thread does
+# not exist in the child.
 _pools: dict[tuple[int, int], ProcessPoolExecutor] = {}
 
 
@@ -864,19 +876,20 @@ class _Search:
 def _search(
     inst: ProblemInstance, prep: Preprocessed, cov_tol: float, params: dict, jobs: int
 ) -> _Search:
-    """``_best_first``, in-process or in this process's pool of ``min(jobs,
-    usable CPUs)`` workers when that is above one.  A broken pool (a worker
-    died, say killed between solves) is replaced and the search run once more.
+    """``_best_first`` with ``min(jobs, usable CPUs)`` solvers: this process
+    and, when that is above one, this process's pool of one worker fewer.  A
+    broken pool (a worker died, say killed between solves) is replaced and the
+    search run once more.
     """
 
-    workers = min(jobs, _usable_cpus())
-    if workers == 1:
-        return _best_first(inst, prep, cov_tol, params, None, 1)
+    helpers = min(jobs, _usable_cpus()) - 1
+    if helpers == 0:
+        return _best_first(inst, prep, cov_tol, params, None, 0)
     try:
-        return _best_first(inst, prep, cov_tol, params, _pool(workers), workers)
+        return _best_first(inst, prep, cov_tol, params, _pool(helpers), helpers)
     except BrokenProcessPool:
-        _pools.pop((os.getpid(), workers)).shutdown()
-    return _best_first(inst, prep, cov_tol, params, _pool(workers), workers)
+        _pools.pop((os.getpid(), helpers)).shutdown()
+    return _best_first(inst, prep, cov_tol, params, _pool(helpers), helpers)
 
 
 def _best_first(
@@ -885,7 +898,7 @@ def _best_first(
     cov_tol: float,
     params: dict,
     pool: ProcessPoolExecutor | None,
-    width: int,
+    helpers: int,
 ) -> _Search:
     """Best-first search over edge pairs and restricted problems in one heap.
 
@@ -893,9 +906,17 @@ def _best_first(
     first member, and a member's bound is capped by its edge pair's, so no
     member is keyed ahead of its edge pair and the keys are unique.  The
     search pops the least key while it may still beat or tie the incumbent:
-    an edge pair is classified and its members bounded and pushed, a problem
-    is solved in-process, or in ``pool`` with at most ``width`` in flight.
-    Each pool task carries the instance, the parameters and the problem.
+    an edge pair is classified and its members bounded and pushed, and a
+    problem is solved in this process, so this process takes the problems in
+    the order ``jobs=1`` does.  Once there is an incumbent, the problems keyed
+    next go to ``pool`` first, while they may still win and fewer than
+    ``helpers`` tasks are in flight.  Before an incumbent every problem may
+    win, so a solve that needs one problem sends no task.  After each solve
+    here the finished tasks are recorded; the reduction order is total, so the
+    order of recording does not matter.  When no key may win, the search waits
+    for the tasks whose problems still may; a task whose problem no longer may
+    cannot change the answer, and is left to finish on its own.  Each pool
+    task carries the instance, the parameters and the problem.
     """
 
     n = len(prep.segments)
@@ -907,16 +928,31 @@ def _best_first(
     heapq.heapify(heap)
     member_bounds = _problem_bounder(inst, prep, cov_tol)
     out = _Search(None, {}, {}, {}, 0)
-    pending: set = set()
+    pending: dict[Future, int] = {}  # task -> index of its problem
+
+    def next_may_win() -> bool:
+        return bool(heap) and _may_win(-heap[0][0], heap[0][1], out.best)
+
+    def record(done) -> None:
+        for future in done:
+            del pending[future]
+            out.best = _record(future.result(), out.results, out.best)
+
     while True:
-        while heap and len(pending) < width and _may_win(-heap[0][0], heap[0][1], out.best):
+        while next_may_win():
             negated, _, node = heapq.heappop(heap)
             if isinstance(node, RestrictedProblem):
-                if pool is not None:
-                    pending.add(pool.submit(_solve_task, inst, params, node))
-                else:
-                    sol = solve_restricted(inst, node, **params)
-                    out.best = _record(sol, out.results, out.best)
+                while (
+                    out.best is not None
+                    and len(pending) < helpers
+                    and next_may_win()
+                    and isinstance(heap[0][2], RestrictedProblem)
+                ):
+                    rp = heapq.heappop(heap)[2]
+                    pending[pool.submit(_solve_task, inst, params, rp)] = rp.index
+                sol = solve_restricted(inst, node, **params)
+                out.best = _record(sol, out.results, out.best)
+                record([future for future in pending if future.done()])
                 continue
             members = restricted_problems(inst, prep, edges=node)
             out.edge_pairs += 1
@@ -925,11 +961,10 @@ def _best_first(
                 out.bounds[rp.index] = bound
                 out.problems[rp.index] = rp
                 heapq.heappush(heap, (-bound, rp.index, rp))
-        if not pending:
+        live = [f for f, k in pending.items() if _may_win(out.bounds[k], k, out.best)]
+        if not live:
             return out
-        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            out.best = _record(future.result(), out.results, out.best)
+        record(wait(live, return_when=FIRST_COMPLETED).done)
 
 
 def solve_global(
@@ -949,9 +984,13 @@ def solve_global(
     can still beat or tie the incumbent under the reduction order: best
     objective, ties by problem index then lexicographic point.  Problems are
     solved in the same order, under the same test.  The result is therefore
-    the one a sweep over every problem returns.  With ``jobs`` above one, up
-    to ``min(jobs, usable CPUs)`` problems run at once in a process pool of
-    that many workers.  The pool is started by the first such solve and kept
+    the one a sweep over every problem returns.  ``jobs`` counts the
+    processes that solve at once, this one included: up to ``min(jobs, usable
+    CPUs)``, with a process pool of one worker fewer.  This process solves
+    problems in the order ``jobs=1`` does; the pool takes the problems keyed
+    after the one it solves, and nothing is sent to the pool before the first
+    problem is solved, so a solve that never needs the pool forks nothing.  A
+    task whose problem can no longer win is not waited for.  The pool is kept
     for the life of the process, so later solves skip its start-up; each task
     carries its instance.
 
@@ -963,9 +1002,10 @@ def solve_global(
     them alone, so the stats do not depend on ``jobs``.  ``pruned`` counts
     the rest, classified or not.
 
-    Raises ``ValueError``, before any work, unless ``trace_res >= 16``,
-    ``cov_tol`` is finite and nonnegative, ``refine_tol`` is finite and
-    positive and ``jobs >= 1``, or when the instance fails validation.
+    Raises ``ValueError``, before any work, unless ``trace_res`` is an
+    integer ``>= 16``, ``cov_tol`` is finite and nonnegative, ``refine_tol``
+    is finite and positive and ``jobs`` is an integer ``>= 1``, or when the
+    instance fails validation.
     """
 
     started = time.perf_counter()

@@ -1,9 +1,11 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from tripcover import cli, fds_solver
 from conftest import S6, fig4_doc, trapezoid_doc
 
 
@@ -235,6 +237,16 @@ def test_curves_json_format(files):
         ("12", "a"),
         ("12", "b"),
     }
+
+
+def test_solve_needing_one_problem_forks_nothing(files, monkeypatch, capsys):
+    # fig4 needs one restricted problem, which the solving process takes itself
+    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fds_solver, "_pools", {})
+    before = set(multiprocessing.active_children())
+    assert cli.main(["solve", "--instance", str(files["fig4"]), "--jobs", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["solved"] == 1
+    assert set(multiprocessing.active_children()) == before
 
 
 def test_jobs_produce_byte_identical_documents(files):

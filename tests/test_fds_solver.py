@@ -1,10 +1,11 @@
 import itertools
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import time
-from concurrent.futures import Future, wait
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -401,22 +402,78 @@ def own_pools(monkeypatch):
         pool.shutdown()
 
 
+@pytest.fixture
+def submits(monkeypatch):
+    """The restricted problem of every task submitted to a process pool
+    during one test, in order."""
+
+    problems = []
+    submit = ProcessPoolExecutor.submit
+
+    def counting(self, fn, *args):
+        problems.append(args[-1].index)
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
+    return problems
+
+
 @needs_pool
-def test_pool_reused_across_solves_without_carrying_state(own_pools):
+def test_pool_reused_across_solves_without_carrying_state(own_pools, submits):
     # each task carries its instance and parameters: a worker that kept the
     # first solve's would give the first answer again
-    fig4 = parse_instance(fig4_doc())
+    seed139 = parse_instance(random_instance_doc(139))
     runs = [
-        (fig4, dict(trace_res=96)),
-        (parse_instance(random_instance_doc(139)), dict(trace_res=128)),
-        (fig4, dict(trace_res=96, cov_tol=1.0)),
+        (seed139, dict(trace_res=96)),
+        (parse_instance(random_instance_doc(127)), dict(trace_res=128)),
+        (seed139, dict(trace_res=96, cov_tol=1.0)),
     ]
-    workers = []
+    workers, outcomes = [], []
     for inst, params in runs:
+        submits.clear()
         pooled = _outcome(*solve_global(inst, jobs=2, **params))
+        assert len(submits) >= 1, "the solve never reached the pool"
         assert pooled == _outcome(*solve_global(inst, jobs=1, **params))
+        outcomes.append(pooled)
         workers.append({p.pid for p in own_pools()})
-    assert workers[0] and workers[1] == workers[0] and workers[2] == workers[0]
+    assert len(workers[0]) == 1 and workers[1] == workers[0] and workers[2] == workers[0]
+    assert outcomes[0] != outcomes[1] and outcomes[0] != outcomes[2]
+
+
+def test_solve_needing_one_problem_submits_nothing(random_suite, own_pools, submits, monkeypatch):
+    # before an incumbent every problem may win, so a second solver would
+    # only speculate; the solving process takes the first problem itself
+    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 2)
+    solved = []
+    solve = fds_solver.solve_restricted
+
+    def recording(inst, rp, **params):
+        solved.append(rp.index)
+        return solve(inst, rp, **params)
+
+    monkeypatch.setattr(fds_solver, "solve_restricted", recording)
+    single = 0
+    for inst in random_suite:
+        solved.clear()
+        solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=1)
+        if len(solved) != 1:
+            continue
+        single += 1
+        alone = list(solved)
+        solved.clear()
+        solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=2)
+        assert submits == [] and solved == alone
+    assert single >= 16
+    assert own_pools() == []
+
+
+def test_outcome_and_stats_equal_across_jobs(random_suite, own_pools, monkeypatch):
+    # four usable CPUs, so jobs=4 runs three workers even on a smaller host
+    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 4)
+    for inst in random_suite + [parse_instance(grid_instance_doc(4, 10, 12))]:
+        expected = _outcome(*solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=1))
+        for jobs in (2, 4):
+            assert _outcome(*solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=jobs)) == expected
 
 
 def _solve_in_child(conn, inst) -> None:
@@ -456,8 +513,9 @@ def test_dead_worker_does_not_fail_the_next_solve(own_pools):
     assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
     worker = own_pools()[0]
     worker.kill()
-    worker.join(30)
-    assert not worker.is_alive()
+    # the pool's manager thread may reap the worker before this join does, and
+    # is_alive() then reads True; the sentinel is ready once the worker ended
+    assert multiprocessing.connection.wait([worker.sentinel], 30), "the worker did not end"
     for _ in range(2):  # the solve that replaces the pool, and one on the replacement
         assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
 
@@ -492,7 +550,7 @@ def test_pool_workers_exit_with_their_owner():
         assert reader.poll(60), "the owner's solve did not finish"
         workers = reader.recv()
         owner.join(60)
-        assert len(workers) == 2
+        assert len(workers) == 1  # jobs=2: the owner solves too
         deadline = time.monotonic() + 30
         while any(map(_running, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -505,10 +563,14 @@ def test_pool_workers_exit_with_their_owner():
             os.kill(pid, signal.SIGKILL)
 
 
-def test_pool_capped_at_usable_cpus(monkeypatch):
-    # a fake pool that runs each task at submit: a real one with a huge
-    # ``jobs`` would fork that many processes
-    sizes, in_flight = [], []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A fake process pool whose tasks run, oldest first, only when the search
+    waits: a real one with a huge ``jobs`` would fork that many processes.
+    Yields the size of each pool made, the tasks in flight after each submit
+    and the tasks not yet run."""
+
+    sizes, in_flight, queued = [], [], []
 
     class FakePool:
         def __init__(self, max_workers, initializer=None):
@@ -516,31 +578,52 @@ def test_pool_capped_at_usable_cpus(monkeypatch):
 
         def submit(self, fn, *args):
             future = Future()
-            future.set_result(fn(*args))
+            queued.append((future, fn, args))
+            in_flight.append(len(queued))
             return future
 
         def shutdown(self):
             pass
 
-    def counting_wait(fs, return_when):
-        in_flight.append(len(fs))
+    def finishing_wait(fs, return_when):
+        future, fn, args = queued.pop(0)
+        future.set_result(fn(*args))
         return wait(fs, return_when=return_when)
 
     monkeypatch.setattr(fds_solver, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(fds_solver, "wait", counting_wait)
+    monkeypatch.setattr(fds_solver, "wait", finishing_wait)
     monkeypatch.setattr(fds_solver, "_pools", {})
+    return sizes, in_flight, queued
+
+
+def test_pool_capped_at_usable_cpus(fake_pool, monkeypatch):
+    sizes, in_flight, queued = fake_pool
     monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 3)
     inst = parse_instance(random_instance_doc(139))
     expected = _outcome(*solve_global(inst, trace_res=96, jobs=1))
     for _ in range(2):  # the second solve reuses the first one's pool
         assert _outcome(*solve_global(inst, trace_res=96, jobs=10_000)) == expected
-    assert sizes == [3] and max(in_flight) == 3
+    # three solvers: this process and two workers
+    assert sizes == [2] and max(in_flight) == 2 and not queued
     in_flight.clear()
     assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
-    assert sizes == [3, 2] and max(in_flight) == 2
+    assert sizes == [2, 1] and max(in_flight) == 1 and not queued
     monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 1)
     assert _outcome(*solve_global(inst, trace_res=96, jobs=10_000)) == expected
-    assert sizes == [3, 2]  # one usable CPU solves in-process
+    assert sizes == [2, 1]  # one usable CPU solves in-process
+
+
+def test_search_does_not_wait_for_tasks_that_cannot_win(fake_pool, monkeypatch):
+    # grid4/10/12 needs two problems, the second winning a tie at the optimum
+    # by its index; the pool takes the one after it, which then cannot win,
+    # and the search returns without its result
+    sizes, in_flight, queued = fake_pool
+    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 2)
+    inst = parse_instance(grid_instance_doc(4, 10, 12))
+    expected = _outcome(*solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=1))
+    assert expected[-1]["solved"] == 2
+    assert _outcome(*solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=2)) == expected
+    assert sizes == [1] and in_flight == [1] and len(queued) == 1
 
 
 def _bounds(inst):
@@ -860,6 +943,8 @@ def test_global_matches_unpruned_sweep(name, transform):
         {"refine_tol": math.nan},
         {"jobs": 0},
         {"jobs": -3},
+        {"jobs": 2.5},
+        {"trace_res": 100.5},
     ],
 )
 def test_solver_parameters_checked_before_any_work(param, monkeypatch):
