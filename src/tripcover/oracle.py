@@ -9,34 +9,57 @@ Over the whole network the oracle samples each edge at ``res`` points and
 evaluates every unordered edge pair on the ``res`` x ``res`` grid of sample
 pairs, adding each O/D pair's weight where its trip length is within its
 acceptance plus ``cov_tol``.  Most (edge pair, O/D pair) terms add nothing
-anywhere on their grid.  A floor computed from the same samples skips them
-(the Big Square Small Square rule of Hansen, Peeters, Richard and Thisse,
-1985, applied to the samples), and the result stays the same bit for bit:
+anywhere on their grid, and most of the rest add nothing outside a small
+block of it.  Floors computed from the same samples and the vertex distance
+matrix find both (the Big Square Small Square rule of Hansen, Peeters,
+Richard and Thisse, 1985, applied to the samples), and the result stays the
+same bit for bit:
 
 * ``nearest[f, e]`` is the least ``hypot`` distance from facility ``f`` to
   a sample of edge ``e``, computed exactly as the grid computes it;
-* every sample of ``alpha * d`` on the edge pair ``(ei, ej)`` is at least
-  ``nmin``, ``alpha`` times the least vertex distance between an endpoint of
-  ``ei`` and one of ``ej`` (``0`` when ``ei == ej``).  Each route is a vertex
-  distance plus terms ``p``, ``L1 - p``, ``q`` and ``L2 - q``, or the term
-  ``|p - q|`` alone, and no term is negative: ``np.linspace`` ends exactly
-  at ``0`` and at the edge length and samples nothing beyond;
-* IEEE addition and multiplication by ``alpha > 0`` are monotone in each
-  operand, so ``(nearest[o, ei] + nmin) + nearest[d, ej]``, summed in the
-  order the grid sums the boarding order 1-2, is at most that order's trip
-  length at every sample, and likewise for the order 2-1.
+* each route between the samples ``p`` of ``ei`` and ``q`` of ``ej`` is a
+  vertex distance plus the terms ``p`` or ``L1 - p`` and ``q`` or
+  ``L2 - q``, or the term ``|p - q|`` alone when ``ei == ej``, and no term is
+  negative: ``np.linspace`` ends exactly at ``0`` and at the edge length and
+  samples nothing beyond.  Dropping the ``q`` terms, every sample of
+  ``alpha * d`` in the row of ``p`` is at least ``rfloor(p) = alpha *
+  min(p + min(D[u1, u2], D[u1, w2]), (L1 - p) + min(D[w1, u2], D[w1, w2]))``,
+  and dropping the ``p`` terms, every sample in the column of ``q`` is at
+  least ``cfloor(q) = alpha * min(min(D[u1, u2], D[w1, u2]) + q,
+  min(D[u1, w2], D[w1, w2]) + (L2 - q))``, with ``(u1, w1)`` and ``(u2, w2)``
+  the endpoints of ``ei`` and ``ej``.  Both floors are ``0`` when
+  ``ei == ej``.  Over the whole edge pair, ``alpha * d`` is at least
+  ``nmin``, ``alpha`` times the least of the four vertex distances, which is
+  at most every row floor;
+* IEEE addition, ``min`` and multiplication by ``alpha > 0`` are monotone in
+  each operand, so any trip length with one leg or ``alpha * d`` replaced by
+  its floor, summed in the order the grid sums that boarding order, is at
+  most the trip length itself.  For the order 1-2, ``(a_p + rfloor(p)) +
+  nearest[d, ej]`` bounds the row of ``p`` and ``(nearest[o, ei] +
+  cfloor(q)) + b_q`` the column of ``q``; for the order 2-1,
+  ``(nearest[o, ej] + rfloor(p)) + b_p`` and ``(a_q + cfloor(q)) +
+  nearest[d, ei]``.
 
-A pair whose two floors both exceed its level is covered at no sample of the
-edge pair, so adding its weight through an empty mask is skipped.  An edge
-pair left with no pair is not sampled at all: its grid would be all zeros.
-The search starts from value 0 at the start of edge 0, where a grid of zeros
-on the first edge pair puts it, and only a larger value replaces it, so with
-non-negative weights nothing skipped could change the answer.
+First, ``(nearest[o, ei] + nmin) + nearest[d, ej]`` and its order 2-1 twin
+drop, for all edge pairs at once, the terms that neither order can cover.
+For each term left, the rows and the columns whose floor reaches the level in
+a boarding order span that order's block, from the first such index to the
+last: a sample outside it exceeds the level in that order.  A term with
+neither block is dropped.  Each edge pair computes ``alpha * d`` only on the
+box that bounds its blocks, and evaluates each term only on its blocks; one
+with no block left is not sampled at all.  Each sample's total is the sum,
+in pair order, of the same weights as on the full grid, and samples outside
+the box would be 0.  The search starts from value 0 at the start of edge 0,
+where a grid of zeros on the first edge pair puts it, and only a larger
+value replaces it.  So with non-negative weights the best value lies inside
+a box, and ``argmax`` over the box, whose row-major order is the grid's,
+picks the same sample as over the full grid.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -144,6 +167,128 @@ def evaluate_point_pair(
     return rows, total
 
 
+def _sample_edges(inst: ProblemInstance, res: int):
+    """Each edge's ``res`` sample arc lengths and facility distances.
+
+    Returns ``samples[e] = (ts, hyp)`` with ``hyp[f, i]`` the ``np.hypot``
+    distance from facility ``f`` to the sample at ``ts[i]``, and
+    ``nearest[f, e]``, the least of ``hyp[f]``.
+    """
+
+    net = inst.network
+    fx = np.array([f.position.x for f in inst.facilities])
+    fy = np.array([f.position.y for f in inst.facilities])
+    samples = []
+    nearest = np.empty((len(fx), len(net.edges)))
+    for e in range(len(net.edges)):
+        ts = np.linspace(0.0, net.edges[e].length, res)
+        xs, ys = _edge_positions(net, e, ts)
+        hyp = np.hypot(fx[:, None] - xs, fy[:, None] - ys)
+        samples.append((ts, hyp))
+        nearest[:, e] = hyp.min(axis=1)
+    return samples, nearest
+
+
+def _network_floors(net, dist: np.ndarray, alpha: float, ei: int, ej: int, ps, qs):
+    """Floors of each row and each column of ``alpha * edge_pair_distance``.
+
+    ``rfloor[i]`` is at most every sample at ``ps[i]`` on the grid of
+    ``ps`` x ``qs`` and ``cfloor[j]`` every sample at ``qs[j]`` (see the
+    module docstring); both are ``0`` on a single edge, where the in-edge
+    route ``|p - q|`` may be ``0``.
+    """
+
+    if ei == ej:
+        return np.zeros_like(ps), np.zeros_like(qs)
+    idx = net.vertex_index
+    e1 = net.edges[ei]
+    e2 = net.edges[ej]
+    u1, w1 = idx[e1.u], idx[e1.w]
+    u2, w2 = idx[e2.u], idx[e2.w]
+    rfloor = alpha * np.minimum(
+        ps + min(dist[u1, u2], dist[u1, w2]), (e1.length - ps) + min(dist[w1, u2], dist[w1, w2])
+    )
+    cfloor = alpha * np.minimum(
+        min(dist[u1, u2], dist[w1, u2]) + qs, min(dist[u1, w2], dist[w1, w2]) + (e2.length - qs)
+    )
+    return rfloor, cfloor
+
+
+def _blocks(rows: np.ndarray, cols: np.ndarray) -> list:
+    """Per term, ``(r0, r1, c0, c1)`` spanning its ``True`` rows and columns.
+
+    ``rows`` and ``cols`` hold one term each per row; a term with no ``True``
+    row or no ``True`` column has no block (``None``).
+    """
+
+    has = (rows.any(axis=1) & cols.any(axis=1)).tolist()
+    r0 = rows.argmax(axis=1).tolist()
+    r1 = (rows.shape[1] - rows[:, ::-1].argmax(axis=1)).tolist()
+    c0 = cols.argmax(axis=1).tolist()
+    c1 = (cols.shape[1] - cols[:, ::-1].argmax(axis=1)).tolist()
+    return [block if h else None for h, block in zip(has, zip(r0, r1, c0, c1))]
+
+
+def _live_terms(inst: ProblemInstance, dist: np.ndarray, samples, nearest, cov_tol: float):
+    """Each edge pair that may cover an O/D pair, with the blocks to evaluate.
+
+    Yields ``(ei, ej, box, terms)`` in edge-pair order.  ``box`` is the
+    ``(rows, cols)`` slices of the ``res`` x ``res`` grid that bound every
+    block; ``terms`` lists ``(k, block12, block21)`` for each O/D pair ``k``,
+    in pair order, that has a block in either boarding order.  A block is
+    ``(rows, cols)`` slices of ``box``, or ``None``, and no sample outside it
+    is covered in its boarding order (see the module docstring).
+    """
+
+    net = inst.network
+    facility = inst.facility_index
+    orig = np.array([facility[pair.origin] for pair in inst.pairs])
+    dest = np.array([facility[pair.dest] for pair in inst.pairs])
+    near_o = nearest[orig]
+    near_d = nearest[dest]
+    levels = np.array([pair.acceptance + cov_tol for pair in inst.pairs]).reshape(-1, 1)
+    idx = net.vertex_index
+    ends = np.array([[idx[e.u], idx[e.w]] for e in net.edges])
+
+    for ei in range(len(net.edges)):
+        ps, hp = samples[ei]
+        # floor of alpha * d on each edge pair (ei, ej >= ei); 0 on ei itself,
+        # where an endpoint is at distance 0 from itself
+        nmin = inst.alpha * dist[ends[ei]][:, ends[ei:]].min(axis=(0, 2))
+        # live[k, c]: pair k may be covered on the edge pair (ei, ei + c)
+        live = ((near_o[:, ei, None] + nmin) + near_d[:, ei:] <= levels) | (
+            (near_o[:, ei:] + nmin) + near_d[:, ei, None] <= levels
+        )
+        for c in np.flatnonzero(live.any(axis=0)):
+            ej = ei + int(c)
+            qs, hq = samples[ej]
+            rfloor, cfloor = _network_floors(net, dist, inst.alpha, ei, ej, ps, qs)
+            ks = np.flatnonzero(live[:, c])
+            o, d, level = orig[ks], dest[ks], levels[ks]
+            # the rows and columns where each boarding order may reach its
+            # level, summed in the order the grid sums its trip length
+            blocks12 = _blocks(
+                (hp[o] + rfloor) + near_d[ks, ej, None] <= level,
+                (near_o[ks, ei, None] + cfloor) + hq[d] <= level,
+            )
+            blocks21 = _blocks(
+                (near_o[ks, ej, None] + rfloor) + hp[d] <= level,
+                (hq[o] + cfloor) + near_d[ks, ei, None] <= level,
+            )
+            terms = [t for t in zip(ks.tolist(), blocks12, blocks21) if t[1] or t[2]]
+            if not terms:
+                continue
+            spans = [b for t in terms for b in t[1:] if b]
+            r0 = min(b[0] for b in spans)
+            c0 = min(b[2] for b in spans)
+
+            def local(b):
+                return b and (slice(b[0] - r0, b[1] - r0), slice(b[2] - c0, b[3] - c0))
+
+            box = (slice(r0, max(b[1] for b in spans)), slice(c0, max(b[3] for b in spans)))
+            yield ei, ej, box, [(k, local(b12), local(b21)) for k, b12, b21 in terms]
+
+
 def oracle_grid(
     inst: ProblemInstance,
     res: int = 200,
@@ -156,14 +301,14 @@ def oracle_grid(
     Evaluates the coverage objective on a ``res`` x ``res`` grid (endpoints
     included, so ``res = 2`` samples the corners) over the given restricted
     rectangle, or over every unordered edge-pair rectangle of the network,
-    skipping the terms that certifiably add nothing (see the module
-    docstring).  Halving the spacing reuses every existing sample, so
-    refining the grid never loses coverage.  By construction the result never
-    exceeds the exact optimum.
+    evaluating each term only on the samples where it may add its weight
+    (see the module docstring).  Halving the spacing reuses every existing
+    sample, so refining the grid never loses coverage.  By construction the
+    result never exceeds the exact optimum.
     """
 
-    if res < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {res}")
+    if not isinstance(res, numbers.Integral) or res < 2:
+        raise ValueError(f"grid resolution must be an integer >= 2, got {res}")
     _check_cov_tol(cov_tol)
 
     if rp is not None:
@@ -179,60 +324,34 @@ def oracle_grid(
     net = inst.network
     if dist is None:
         dist = all_pairs_shortest_paths(net)
-
-    fx = np.array([f.position.x for f in inst.facilities])
-    fy = np.array([f.position.y for f in inst.facilities])
-    samples = []
-    nearest = np.empty((len(fx), len(net.edges)))
-    for e in range(len(net.edges)):
-        ts = np.linspace(0.0, net.edges[e].length, res)
-        xs, ys = _edge_positions(net, e, ts)
-        samples.append((ts, xs, ys))
-        nearest[:, e] = np.hypot(fx[:, None] - xs, fy[:, None] - ys).min(axis=1)
+    samples, nearest = _sample_edges(inst, res)
     facility = inst.facility_index
-    near_o = nearest[[facility[pair.origin] for pair in inst.pairs]]
-    near_d = nearest[[facility[pair.dest] for pair in inst.pairs]]
-    levels = np.array([pair.acceptance + cov_tol for pair in inst.pairs]).reshape(-1, 1)
-    idx = net.vertex_index
-    ends = np.array([[idx[e.u], idx[e.w]] for e in net.edges])
 
     # where an all-zero grid on the first edge pair would put the answer, so
-    # edge pairs with no live pair need no grid (see the module docstring)
+    # samples outside every block need no evaluation (see the module docstring)
     start = network_point(net, 0, samples[0][0][0])
     best_value = 0.0
     best_points = (start, start)
-    # per-pair work writes into these, so its cost does not hinge on how the
-    # allocator recycles res x res temporaries
-    f12 = np.empty((res, res))
-    f21 = np.empty((res, res))
-    for ei in range(len(net.edges)):
-        ps, pxs, pys = samples[ei]
-        # floor of alpha * d on each edge pair (ei, ej >= ei); 0 on ei itself,
-        # where an endpoint is at distance 0 from itself
-        nmin = inst.alpha * dist[ends[ei]][:, ends[ei:]].min(axis=(0, 2))
-        # live[k, c]: pair k may be covered on the edge pair (ei, ei + c)
-        live = ((near_o[:, ei, None] + nmin) + near_d[:, ei:] <= levels) | (
-            (near_o[:, ei:] + nmin) + near_d[:, ei, None] <= levels
-        )
-        for c in np.flatnonzero(live.any(axis=0)):
-            ej = ei + int(c)
-            qs, qxs, qys = samples[ej]
-            network = inst.alpha * edge_pair_distance(net, dist, ei, ej, ps[:, None], qs[None, :])
-            total = np.zeros_like(network)
-            for k in np.flatnonzero(live[:, c]):
-                pair = inst.pairs[k]
-                a = inst.facility_position(pair.origin)
-                b = inst.facility_position(pair.dest)
-                a_p = np.hypot(a.x - pxs, a.y - pys)
-                b_q = np.hypot(b.x - qxs, b.y - qys)
-                a_q = np.hypot(a.x - qxs, a.y - qys)
-                b_p = np.hypot(b.x - pxs, b.y - pys)
-                np.add(np.add(a_p[:, None], network, out=f12), b_q[None, :], out=f12)
-                np.add(np.add(a_q[None, :], network, out=f21), b_p[:, None], out=f21)
-                total[np.minimum(f12, f21, out=f12) <= pair.acceptance + cov_tol] += pair.weight
-            value = float(total.max())
-            if value > best_value:
-                gi, gj = np.unravel_index(int(np.argmax(total)), total.shape)
-                best_value = value
-                best_points = (network_point(net, ei, ps[gi]), network_point(net, ej, qs[gj]))
+    for ei, ej, (rows, cols), terms in _live_terms(inst, dist, samples, nearest, cov_tol):
+        ps, hp = samples[ei][0][rows], samples[ei][1][:, rows]
+        qs, hq = samples[ej][0][cols], samples[ej][1][:, cols]
+        network = inst.alpha * edge_pair_distance(net, dist, ei, ej, ps[:, None], qs[None, :])
+        total = np.zeros_like(network)
+        for k, block12, block21 in terms:
+            pair = inst.pairs[k]
+            o, d = facility[pair.origin], facility[pair.dest]
+            level = pair.acceptance + cov_tol
+            covered = np.zeros(network.shape, dtype=bool)
+            if block12:
+                i, j = block12
+                covered[i, j] = (hp[o, i, None] + network[i, j]) + hq[d, j] <= level
+            if block21:
+                i, j = block21
+                covered[i, j] |= (hq[o, j] + network[i, j]) + hp[d, i, None] <= level
+            total[covered] += pair.weight
+        value = float(total.max())
+        if value > best_value:
+            gi, gj = np.unravel_index(int(np.argmax(total)), total.shape)
+            best_value = value
+            best_points = (network_point(net, ei, ps[gi]), network_point(net, ej, qs[gj]))
     return OracleResult(best_points[0], best_points[1], best_value)

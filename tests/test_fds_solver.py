@@ -989,6 +989,25 @@ def test_oracle_and_evaluate_cov_tol_checked_before_any_work(cov_tol, monkeypatc
         evaluate_point_pair(inst, dist, point, point, tol=cov_tol)
 
 
+@pytest.mark.parametrize("res", [100.5, 2.0, 1, -3, None])
+def test_oracle_res_checked_before_any_work(res, monkeypatch):
+    # before, a float res raised a bare TypeError from np.linspace
+    import tripcover.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before res was checked")
+
+    inst = parse_instance(fig4_doc())
+    rp = antipodal_problem(inst)
+    for name in ("all_pairs_shortest_paths", "coverage_weights", "_check_cov_tol"):
+        monkeypatch.setattr(oracle, name, refuse)
+    message = "grid resolution must be an integer >= 2"
+    with pytest.raises(ValueError, match=message):
+        oracle_grid(inst, res=res)
+    with pytest.raises(ValueError, match=message):
+        oracle_grid(inst, rp=rp, res=res)
+
+
 def relabelled_doc(doc: dict, seed: int) -> dict:
     """``doc`` reflected through one or both axes, with permuted vertex and
     facility ids and shuffled pairs: the same problem, presented differently."""
