@@ -27,21 +27,20 @@ combination of each two O/D pairs, crosses them in one
 the counts and deduplication of crossing each pair alone.
 
 The best candidate over all restricted problems solves the full problem.  The
-global solver finds it by a two-level branch-and-bound.  Off the diagonal a
-field's floor over its rectangle is the sum of two closed-form axis floors
-(``axis_floor``); on the diagonal a weak-duality relaxation of ``alpha*|x -
-y|`` over the whole rectangle reduces the field to the same shape.  These
-certified floors give an upper bound on every restricted problem's objective
-(the weight of the pairs with a field whose floor reaches the acceptance
-level).  The coarse level bounds a whole edge pair the same way: between
-points of two different edges the network distance is the least of four
-routes, one per pair of endpoints, each separable over the edge-pair
-rectangle, and on one edge it is at least zero (``edge_pair_bounds``).  One
-best-first search holds both levels: an edge pair is classified into its
-restricted problems, and those are bounded, only once its own bound can still
-beat or tie the incumbent, and a problem is solved only while its bound can.
-Inside a problem the same floors skip every field that cannot reach the
-level.  The answer is the one a full sweep returns.
+global solver finds it by a two-level branch-and-bound with one floor for every
+box, two whole edges or two segments (``_box_floors``, the box rule of Big
+Square Small Square).  On a box the network distance is the least of affine
+routes through the edges' ends (and the direct route on one edge), so in each
+slope class the trip length is separable and its floor is two closed-form axis
+floors (``axis_floor``) plus the least route constant; on one interval twice a
+weak-duality relaxation of ``alpha*|x - y|`` gives the same shape.  The floors
+need no classification and bound the objective over the box (the weight of the
+pairs whose floor reaches the acceptance level).  One best-first search holds
+both levels: an edge pair's problems are bounded only once its own bound can
+still beat or tie the incumbent, and a problem is classified and solved only
+while its bound can.  Inside a problem the floors of its classified forms
+(``field_floors``) skip every field that cannot reach the level.  The answer
+is the one a full sweep returns.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing.util import Finalize
 from types import SimpleNamespace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,8 +85,6 @@ from .mixed_distance import (
     BRANCH_A,
     BRANCH_B,
     DEFAULT_COVERAGE_TOL,
-    ORIENT_12,
-    ORIENT_21,
     ORIENTATIONS,
     PairDomain,
     axis_argmin,
@@ -195,37 +192,51 @@ def _rp_index(n: int, a: int, b: int) -> int:
     return a * n - a * (a - 1) // 2 + b - a
 
 
+def _members(prep: Preprocessed, e: int, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Segment indices ``a <= b`` of the problems with one segment on each of
+    the edges ``e <= f``, in index order."""
+
+    starts = _edge_starts(prep)
+    a, b = np.meshgrid(
+        np.arange(starts[e], starts[e + 1]), np.arange(starts[f], starts[f + 1]), indexing="ij"
+    )
+    keep = a <= b
+    return a[keep], b[keep]
+
+
 def restricted_problems(
-    inst: ProblemInstance, prep: Preprocessed, edges: tuple[int, int] | None = None
+    inst: ProblemInstance, prep: Preprocessed, pairs: Iterable[tuple[int, int]] | None = None
 ) -> list[RestrictedProblem]:
     """All unordered segment pairs, diagonal included, in index order.
 
     The objective is symmetric in the roles of the two transfer points, so
     unordered pairs cover the same optima as the full ordered enumeration at
-    half the work.  With ``edges=(e, f)`` only the pairs with one segment on
-    each of the two edges are classified; their ``index`` is still the
-    position in the full enumeration.
+    half the work.  With ``pairs`` only those segment pairs ``(a, b)``, ``0 <=
+    a <= b < len(prep.segments)``, are classified, in the order given; their
+    ``index`` is still the position in the full enumeration.  Raises
+    ``ValueError``, before any work, on a pair out of that range.
     """
 
     segs = prep.segments
     n = len(segs)
-    rows = cols = range(n)
-    if edges is not None:
-        e, f = sorted(edges)
-        starts = _edge_starts(prep)
-        rows, cols = range(starts[e], starts[e + 1]), range(starts[f], starts[f + 1])
+    if pairs is None:
+        pairs = ((a, b) for a in range(n) for b in range(a, n))
+    else:
+        pairs = list(pairs)
+        for a, b in pairs:
+            if not (_integer_at_least(a, 0) and _integer_at_least(b, a) and b < n):
+                raise ValueError(f"segment pair must have 0 <= a <= b < {n}, got {(a, b)}")
     problems = []
-    for a in rows:
-        for b in range(max(a, cols.start), cols.stop):
-            pc = classify_segment_pair(segs[a], segs[b], prep.dist, inst.network)
-            problems.append(
-                RestrictedProblem(
-                    _rp_index(n, a, b),
-                    segs[a],
-                    segs[b],
-                    pair_domain(inst.network, segs[a], segs[b], pc),
-                )
+    for a, b in pairs:
+        pc = classify_segment_pair(segs[a], segs[b], prep.dist, inst.network)
+        problems.append(
+            RestrictedProblem(
+                _rp_index(n, a, b),
+                segs[a],
+                segs[b],
+                pair_domain(inst.network, segs[a], segs[b], pc),
             )
+        )
     return problems
 
 
@@ -286,64 +297,81 @@ def _segment_coefficients(alpha: float) -> np.ndarray:
     return np.concatenate(([alpha, -alpha], shift, -shift))
 
 
-def _floor_table(inst: ProblemInstance, geoms: Sequence, coef: np.ndarray) -> np.ndarray:
+def _floor_table(inst: ProblemInstance, segments: Sequence[LinearArcSegment]) -> np.ndarray:
     """``axis_floor`` of every facility on every segment, per coefficient.
 
-    Axis 0 follows ``inst.facilities``, axis 1 ``geoms`` and axis 2 ``coef``.
+    Axis 0 follows ``inst.facilities``, axis 1 ``segments`` and axis 2
+    ``_segment_coefficients``.
     """
 
     facility = np.array([(f.position.x, f.position.y) for f in inst.facilities]).reshape(-1, 2)
+    geoms = [segment_geometry(inst.network, seg) for seg in segments]
     segment = np.array([(*g.origin, *g.direction, g.length) for g in geoms])
     ox, oy, dx, dy, length = segment.T[:, None, :, None]
     lines = SimpleNamespace(origin=(ox, oy), direction=(dx, dy))
-    return axis_floor(facility.T[:, :, None, None], lines, np.asarray(coef, dtype=float), length)
+    coef = _segment_coefficients(inst.alpha)
+    return axis_floor(facility.T[:, :, None, None], lines, coef, length)
 
 
-def _pair_floors(
-    inst: ProblemInstance, table: np.ndarray, classes: Sequence, p: np.ndarray, q: np.ndarray
-) -> Iterator[dict[str, np.ndarray]]:
-    """Floor of every branch field over its rectangle, pair by pair.
+def _route_constants(
+    inst: ProblemInstance, prep: Preprocessed, segments: Sequence[LinearArcSegment], p, q
+) -> np.ndarray:
+    """``alpha`` times the least route constant of every box, per slope class.
 
-    ``classes`` are the problems' pair classes and ``p``/``q`` the columns of
-    their two segments in ``table``, whose coefficients are
-    ``_segment_coefficients``.  Yields one dict per pair, in pair
-    order, mapping each boarding order to a ``(problems, 2)`` array: branches
-    ``a`` and ``b``, the single field of a type 2 or diagonal problem filling
-    both.  Off the diagonal a field is ``u(x) + v(y) + alpha*c0``, each axis
-    term a distance plus ``alpha*cx*x`` or ``alpha*cy*y``, so its floor is
-    the sum of two axis floors.  On the diagonal, adding ``lam*(x - y) <= 0``
-    on the triangle ``x <= y`` (``lam*(y - x)`` on ``x >= y``) for any
-    ``lam >= 0`` leaves a separable lower bound; the floor is the lesser
-    triangle's best bound over the multipliers.
+    Box ``k`` is ``segments[p[k]]`` × ``segments[q[k]]``, ``p <= q``.  A route
+    leaves the first segment's edge through end ``u`` (its length from ``x``
+    has slope +1 in ``x``) or ``w`` (slope -1) and enters the second's the
+    same way, so it is affine with constant ``off_p + D[end_p, end_q] +
+    off_q``, ``off = (start, length - start)``.  On one edge the direct route
+    ``y - x``, constant ``start_q - start_p``, joins the class ``(w, u)``.
+    Entry ``[k, i, j]`` holds class ``(i, j)``, 0 for ``u`` and 1 for ``w``.
     """
 
-    diagonal = np.array([pc.diagonal for pc in classes], dtype=bool)
-    affine = np.flatnonzero(~diagonal)
-    coeffs = np.fromiter(
-        (v for k in affine for f in (classes[k].forms * 2)[:2] for v in (f.c0, f.cx, f.cy)),
-        dtype=float,
-        count=6 * len(affine),
-    ).reshape(-1, 2, 3)
-    c0 = inst.alpha * coeffs[..., 0]
-    # column 0 of the table holds coefficient +alpha, column 1 -alpha
-    kx, ky = ((1 - coeffs[..., 1:]) // 2).astype(int).transpose(2, 0, 1)
-    p_affine = p[affine, None]
-    q_affine = q[affine, None]
+    net = inst.network
+    idx = net.vertex_index
+    edge = np.array([seg.edge for seg in segments])
+    start = np.array([seg.start for seg in segments])
+    ends = np.array([(idx[e.u], idx[e.w]) for e in net.edges])[edge]
+    off = np.stack([start, np.array([e.length for e in net.edges])[edge] - start], axis=1)
+    const = off[p][:, :, None] + prep.dist[ends[p][:, :, None], ends[q][:, None, :]]
+    const += off[q][:, None, :]
+    one = edge[p] == edge[q]
+    const[one, 1, 0] = np.minimum(const[one, 1, 0], start[q[one]] - start[p[one]])
+    return inst.alpha * const
+
+
+def _box_floors(
+    inst: ProblemInstance, table: np.ndarray, p, q, const: np.ndarray, same
+) -> Iterator[np.ndarray]:
+    """Floor of every pair's trip length on every box, per boarding order and
+    slope class.
+
+    ``p``/``q`` are the columns of each box's two intervals in ``table`` and
+    ``const`` their ``(boxes, 2, 2)`` constants (``_route_constants``).
+    Yields one ``(boxes, 2, 2, 2)`` array per pair, in pair order, indexed by
+    box, boarding order (``"12"``, ``"21"``) and slope class.  Off ``same`` a
+    class's field is ``u(x) + v(y) + const``, each axis term a distance plus
+    ``±alpha`` times its coordinate, so its floor is two axis floors plus the
+    constant.  On a ``same`` box (one interval twice), adding ``lam*(x - y)
+    <= 0`` on the triangle ``x <= y`` (``lam*(y - x)`` on ``x >= y``) to
+    ``alpha*|x - y|`` for any ``lam >= 0`` leaves a separable lower bound;
+    every class holds the lesser triangle's best bound over the multipliers.
+    """
+
     m = (table.shape[2] - 2) // 2
-    up = table[:, p[diagonal], 2 : 2 + m]  # coefficient lam - alpha
-    down = table[:, p[diagonal], 2 + m :]  # coefficient alpha - lam
+    up = table[:, p[same], 2 : 2 + m]  # coefficient lam - alpha
+    down = table[:, p[same], 2 + m :]  # coefficient alpha - lam
     row = inst.facility_index
     for pair in inst.pairs:
         a, b = row[pair.origin], row[pair.dest]
-        floors = {}
-        for orientation, fp, fq in ((ORIENT_12, a, b), (ORIENT_21, b, a)):
-            out = np.empty((len(classes), 2))
-            out[affine] = table[fp, p_affine, kx] + table[fq, q_affine, ky] + c0
-            out[diagonal] = np.minimum(
+        out = np.empty((len(p), 2, 2, 2))
+        for k, (fp, fq) in enumerate(((a, b), (b, a))):
+            # columns 0 and 1 of the table hold coefficients +alpha and -alpha
+            out[:, k] = (table[fp, p, :2][:, :, None] + table[fq, q, :2][:, None, :]) + const
+            out[same, k] = np.minimum(
                 (up[fp] + down[fq]).max(axis=1), (down[fp] + up[fq]).max(axis=1)
-            )[:, None]
-            floors[orientation] = out
-        yield floors
+            )[:, None, None]
+        yield out
 
 
 def field_floors(inst: ProblemInstance, rp: RestrictedProblem) -> list[dict[str, np.ndarray]]:
@@ -351,17 +379,22 @@ def field_floors(inst: ProblemInstance, rp: RestrictedProblem) -> list[dict[str,
 
     One dict per pair, mapping each boarding order to the floors of branches
     ``a`` and ``b`` over the rectangle; the single field of a type 2 or
-    diagonal problem fills both.
+    diagonal problem fills both.  Each form's ``alpha*c0`` stands in its
+    slope class of ``_box_floors`` (``inf`` in the others), whose floor of
+    that class is then the branch field's.
     """
 
-    table = _floor_table(
-        inst, [rp.domain.geom_p, rp.domain.geom_q], _segment_coefficients(inst.alpha)
-    )
+    table = _floor_table(inst, [rp.seg_p, rp.seg_q])
     pc = rp.domain.pair_class
-    return [
-        {orientation: f[0] for orientation, f in floors.items()}
-        for floors in _pair_floors(inst, table, [pc], np.array([0]), np.array([1]))
-    ]
+    const = np.full((1, 2, 2), np.inf)
+    slots = [((1 - form.cx) // 2, (1 - form.cy) // 2) for form in pc.forms] or [(0, 0)]
+    for form, (kx, ky) in zip(pc.forms, slots):
+        const[0, kx, ky] = inst.alpha * form.c0
+    # the slots of branches a and b: one form fills both, and so does the
+    # diagonal floor, which stands in every slot
+    kx, ky = np.array((slots * 2)[:2]).T
+    floors = _box_floors(inst, table, np.array([0]), np.array([1]), const, np.array([pc.diagonal]))
+    return [{o: f[0, k, kx, ky] for k, o in enumerate(ORIENTATIONS)} for f in floors]
 
 
 def _rounding_scale(inst: ProblemInstance) -> float:
@@ -668,32 +701,35 @@ def solve_restricted(
     )
 
 
-def _problem_bounder(inst: ProblemInstance, prep: Preprocessed, cov_tol: float):
-    """``problem_bounds`` as a function of the problems alone: the floor table
-    of every segment is built once, for all the problems bounded later."""
+def _whole_edges(inst: ProblemInstance) -> list[LinearArcSegment]:
+    """Every edge as one segment: the intervals of the edge-pair boxes."""
 
-    segments = prep.segments
-    column = {seg: k for k, seg in enumerate(segments)}
-    table = _floor_table(
-        inst,
-        [segment_geometry(inst.network, seg) for seg in segments],
-        _segment_coefficients(inst.alpha),
-    )
+    return [LinearArcSegment(e, 0.0, edge.length, 0) for e, edge in enumerate(inst.network.edges)]
+
+
+def _box_bounder(
+    inst: ProblemInstance, prep: Preprocessed, segments: Sequence[LinearArcSegment], cov_tol: float
+):
+    """``bounds(p, q)``: a certified upper bound on the objective over every
+    box ``segments[p[k]]`` × ``segments[q[k]]``, ``p <= q``.
+
+    The weight of the pairs whose least ``_box_floors`` value is within
+    ``acceptance + cov_tol`` plus the rounding allowance of ``_exceeds``, so
+    no pair that the coverage test would count is left out.  Weights are
+    summed in pair order, as ``coverage_weights`` and
+    ``coverage_and_objective`` sum them, so the bound is at least every
+    objective on the box in floating point too.  The ``axis_floor`` table is
+    built once, for all the boxes bounded later.
+    """
+
+    table = _floor_table(inst, segments)
     scale = _rounding_scale(inst)
 
-    def bounds(problems: Sequence[RestrictedProblem]) -> np.ndarray:
-        floors = _pair_floors(
-            inst,
-            table,
-            [rp.domain.pair_class for rp in problems],
-            np.array([column[rp.seg_p] for rp in problems], dtype=int),
-            np.array([column[rp.seg_q] for rp in problems], dtype=int),
-        )
-        out = np.zeros(len(problems))
-        for pair, pair_floors in zip(inst.pairs, floors):
-            f12 = pair_floors[ORIENT_12]
-            f21 = pair_floors[ORIENT_21]
-            lb = np.minimum(np.minimum(f12[:, 0], f12[:, 1]), np.minimum(f21[:, 0], f21[:, 1]))
+    def bounds(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        const = _route_constants(inst, prep, segments, p, q)
+        out = np.zeros(len(p))
+        for pair, floors in zip(inst.pairs, _box_floors(inst, table, p, q, const, p == q)):
+            lb = floors.min(axis=(1, 2, 3))
             out += pair.weight * ~_exceeds(lb, pair.acceptance + cov_tol, scale)
         return out
 
@@ -706,90 +742,40 @@ def problem_bounds(
     problems: Sequence[RestrictedProblem],
     cov_tol: float = DEFAULT_COVERAGE_TOL,
 ) -> list[float]:
-    """Certified upper bound on the objective of every restricted problem.
+    """Certified upper bound on the objective of every restricted problem:
+    the ``_box_bounder`` bound of its two segments."""
 
-    On a problem, a pair's trip length is the least of its branch fields in
-    both boarding orders, so it is at least the least of their floors over
-    the rectangle (``_pair_floors``, from one facility × segment ×
-    coefficient table of ``axis_floor`` values, indexed for all problems at
-    once).  The bound is the weight of
-    the pairs whose floor is within ``acceptance + cov_tol`` plus a rounding
-    allowance (see ``_exceeds``), so no pair that the coverage test would
-    count is left out.  Weights are summed in pair order, as
-    ``coverage_weights`` and ``coverage_and_objective`` sum them, so the bound
-    is at least every objective of the problem in floating point too.
-    """
-
-    return _problem_bounder(inst, prep, cov_tol)(problems).tolist()
+    column = {seg: k for k, seg in enumerate(prep.segments)}
+    p = np.array([column[rp.seg_p] for rp in problems], dtype=int)
+    q = np.array([column[rp.seg_q] for rp in problems], dtype=int)
+    return _box_bounder(inst, prep, prep.segments, cov_tol)(p, q).tolist()
 
 
 def edge_pair_floors(inst: ProblemInstance, prep: Preprocessed) -> Iterator[np.ndarray]:
     """Floor of every pair's trip length over every edge-pair rectangle.
 
     Yields one array per pair, in pair order, over the edge pairs ``(e, f)``,
-    ``e <= f``, in ``np.triu_indices`` order.  For ``x`` on edge ``e`` and
-    ``y`` on another edge ``f`` a shortest path leaves ``e`` through an
-    endpoint ``a`` and enters ``f`` through an endpoint ``b``, so
-    ``alpha*d(x, y)`` is the least of four terms ``alpha*(arc(x, a) + D[a, b]
-    + arc(b, y))``, each affine in ``x`` and in ``y`` with slopes ``±alpha``.
-    In each boarding order the trip length is then the least of four
-    separable fields, and its floor the least of four sums: the
-    ``axis_floor`` of one facility on ``e``, plus ``alpha*D[a, b]`` and the
-    endpoint constants, plus the ``axis_floor`` of the other facility on
-    ``f``; up to rounding that is the minimum.  On one edge ``alpha*d >= 0``,
-    so the floors at coefficient 0 serve.  The floors come from one facility
-    × edge × {``alpha``, ``-alpha``, 0} table.
+    ``e <= f``, in ``np.triu_indices`` order: the least ``_box_floors`` value
+    on the box of the two whole edges.
     """
 
-    net = inst.network
-    alpha = inst.alpha
-    whole = [
-        segment_geometry(net, LinearArcSegment(e, 0.0, edge.length, 0))
-        for e, edge in enumerate(net.edges)
-    ]
-    table = _floor_table(inst, whole, np.array([alpha, -alpha, 0.0]))
-    first, second = np.triu_indices(len(net.edges))
-    same = first == second
-    idx = net.vertex_index
-    ends = np.array([(idx[edge.u], idx[edge.w]) for edge in net.edges])
-    length = np.array([edge.length for edge in net.edges])
-    # route[k, i, j]: leave edge first[k] through end i and enter second[k]
-    # through end j; arc(x, u) = x has slope +alpha (table column 0), arc(x,
-    # w) = length - x slope -alpha (column 1) plus the constant alpha*length
-    through_w = np.array([0.0, 1.0])
-    route = alpha * (
-        prep.dist[ends[first][:, :, None], ends[second][:, None, :]]
-        + (length[first, None] * through_w)[:, :, None]
-        + (length[second, None] * through_w)[:, None, :]
-    )
-    row = inst.facility_index
-    for pair in inst.pairs:
-        a, b = row[pair.origin], row[pair.dest]
-        lb = np.inf
-        for fp, fq in ((a, b), (b, a)):
-            near = table[fp, first]
-            far = table[fq, second]
-            apart = (near[:, :2, None] + route + far[:, None, :2]).min(axis=(1, 2))
-            lb = np.minimum(lb, np.where(same, near[:, 2] + far[:, 2], apart))
-        yield lb
+    edges = _whole_edges(inst)
+    table = _floor_table(inst, edges)
+    first, second = np.triu_indices(len(edges))
+    const = _route_constants(inst, prep, edges, first, second)
+    for floors in _box_floors(inst, table, first, second, const, first == second):
+        yield floors.min(axis=(1, 2, 3))
 
 
 def edge_pair_bounds(
     inst: ProblemInstance, prep: Preprocessed, cov_tol: float = DEFAULT_COVERAGE_TOL
 ) -> dict[tuple[int, int], float]:
     """Certified upper bound on the objective of every restricted problem of
-    each edge pair ``(e, f)``, ``e <= f``.
-
-    The weight of the pairs whose ``edge_pair_floors`` value is within
-    ``acceptance + cov_tol`` plus the rounding allowance of ``_exceeds``,
-    summed in pair order as ``problem_bounds`` sums it.
-    """
+    each edge pair ``(e, f)``, ``e <= f``: the ``_box_bounder`` bound of the
+    two whole edges."""
 
     first, second = np.triu_indices(len(inst.network.edges))
-    scale = _rounding_scale(inst)
-    bounds = np.zeros(len(first))
-    for pair, lb in zip(inst.pairs, edge_pair_floors(inst, prep)):
-        bounds += pair.weight * ~_exceeds(lb, pair.acceptance + cov_tol, scale)
+    bounds = _box_bounder(inst, prep, _whole_edges(inst), cov_tol)(first, second)
     return dict(zip(zip(first.tolist(), second.tolist()), bounds.tolist()))
 
 
@@ -864,13 +850,13 @@ def _solve_task(inst: ProblemInstance, params: dict, rp: RestrictedProblem) -> F
 
 @dataclass
 class _Search:
-    """What the branch-and-bound classified and solved."""
+    """What the branch-and-bound bounded, classified and solved."""
 
     best: FdsSolution | None
-    bounds: dict[int, float]  # every classified problem's bound, by index
-    problems: dict[int, RestrictedProblem]
+    bounds: dict[int, float]  # every bounded problem's bound, by index
+    problems: dict[int, RestrictedProblem]  # every classified problem, by index
     results: dict[int, FdsSolution]
-    edge_pairs: int  # edge pairs classified
+    edge_pairs: int  # edge pairs expanded
 
 
 def _search(
@@ -906,32 +892,40 @@ def _best_first(
     first member, and a member's bound is capped by its edge pair's, so no
     member is keyed ahead of its edge pair and the keys are unique.  The
     search pops the least key while it may still beat or tie the incumbent:
-    an edge pair is classified and its members bounded and pushed, and a
-    problem is solved in this process, so this process takes the problems in
-    the order ``jobs=1`` does.  Once there is an incumbent, the problems keyed
-    next go to ``pool`` first, while they may still win and fewer than
+    an edge pair's members (``_members``) are bounded and pushed unclassified,
+    and a problem is classified (``restricted_problems``) and solved in this
+    process, so this process takes the problems in the order ``jobs=1`` does.
+    Once there is an incumbent, the problems keyed next are classified here
+    and go to ``pool`` first, while they may still win and fewer than
     ``helpers`` tasks are in flight.  Before an incumbent every problem may
     win, so a solve that needs one problem sends no task.  After each solve
     here the finished tasks are recorded; the reduction order is total, so the
     order of recording does not matter.  When no key may win, the search waits
     for the tasks whose problems still may; a task whose problem no longer may
     cannot change the answer, and is left to finish on its own.  Each pool
-    task carries the instance, the parameters and the problem.
+    task carries the instance, the parameters and the classified problem.
     """
 
     n = len(prep.segments)
     starts = _edge_starts(prep)
+    # (-bound, index, pair, is_problem): pair is an edge pair (e, f) or, for
+    # a problem, its segment pair (a, b)
     heap = [
-        (-bound, _rp_index(n, starts[e], starts[f]), (e, f))
+        (-bound, _rp_index(n, starts[e], starts[f]), (e, f), False)
         for (e, f), bound in edge_pair_bounds(inst, prep, cov_tol).items()
     ]
     heapq.heapify(heap)
-    member_bounds = _problem_bounder(inst, prep, cov_tol)
+    member_bounds = _box_bounder(inst, prep, prep.segments, cov_tol)
     out = _Search(None, {}, {}, {}, 0)
     pending: dict[Future, int] = {}  # task -> index of its problem
 
     def next_may_win() -> bool:
         return bool(heap) and _may_win(-heap[0][0], heap[0][1], out.best)
+
+    def classify(pair: tuple[int, int]) -> RestrictedProblem:
+        (rp,) = restricted_problems(inst, prep, pairs=[pair])
+        out.problems[rp.index] = rp
+        return rp
 
     def record(done) -> None:
         for future in done:
@@ -940,27 +934,27 @@ def _best_first(
 
     while True:
         while next_may_win():
-            negated, _, node = heapq.heappop(heap)
-            if isinstance(node, RestrictedProblem):
+            negated, _, pair, is_problem = heapq.heappop(heap)
+            if is_problem:
                 while (
                     out.best is not None
                     and len(pending) < helpers
                     and next_may_win()
-                    and isinstance(heap[0][2], RestrictedProblem)
+                    and heap[0][3]
                 ):
-                    rp = heapq.heappop(heap)[2]
+                    rp = classify(heapq.heappop(heap)[2])
                     pending[pool.submit(_solve_task, inst, params, rp)] = rp.index
-                sol = solve_restricted(inst, node, **params)
+                sol = solve_restricted(inst, classify(pair), **params)
                 out.best = _record(sol, out.results, out.best)
                 record([future for future in pending if future.done()])
                 continue
-            members = restricted_problems(inst, prep, edges=node)
+            a, b = _members(prep, *pair)
             out.edge_pairs += 1
-            for rp, bound in zip(members, member_bounds(members).tolist()):
+            for i, j, bound in zip(a.tolist(), b.tolist(), member_bounds(a, b).tolist()):
                 bound = min(bound, -negated)
-                out.bounds[rp.index] = bound
-                out.problems[rp.index] = rp
-                heapq.heappush(heap, (-bound, rp.index, rp))
+                index = _rp_index(n, i, j)
+                out.bounds[index] = bound
+                heapq.heappush(heap, (-bound, index, (i, j), True))
         live = [f for f, k in pending.items() if _may_win(out.bounds[k], k, out.best)]
         if not live:
             return out
@@ -978,29 +972,30 @@ def solve_global(
     """Solve the full problem by branch-and-bound over the restricted problems.
 
     The search has two levels.  Every edge pair gets an ``edge_pair_bounds``
-    bound first; an edge pair is classified into its restricted problems,
-    and those get their ``problem_bounds`` bound (capped by the edge pair's),
-    only when it comes first in descending bound order (ties by index) and
-    can still beat or tie the incumbent under the reduction order: best
-    objective, ties by problem index then lexicographic point.  Problems are
-    solved in the same order, under the same test.  The result is therefore
-    the one a sweep over every problem returns.  ``jobs`` counts the
-    processes that solve at once, this one included: up to ``min(jobs, usable
-    CPUs)``, with a process pool of one worker fewer.  This process solves
-    problems in the order ``jobs=1`` does; the pool takes the problems keyed
-    after the one it solves, and nothing is sent to the pool before the first
-    problem is solved, so a solve that never needs the pool forks nothing.  A
-    task whose problem can no longer win is not waited for.  The pool is kept
-    for the life of the process, so later solves skip its start-up; each task
-    carries its instance.
+    bound first; an edge pair's restricted problems get their
+    ``problem_bounds`` bound (capped by the edge pair's) only when it comes
+    first in descending bound order (ties by index) and can still beat or tie
+    the incumbent under the reduction order: best objective, ties by problem
+    index then lexicographic point.  Problems are classified and solved in
+    the same order, under the same test; neither bound needs a
+    classification.  The result is therefore the one a sweep over every
+    problem returns.  ``jobs`` counts the processes that solve at once, this
+    one included: up to ``min(jobs, usable CPUs)``, with a process pool of
+    one worker fewer.  This process solves problems in the order ``jobs=1``
+    does; the pool takes the problems keyed after the one it solves, and
+    nothing is sent to the pool before the first problem is solved, so a
+    solve that never needs the pool forks nothing.  A task whose problem can
+    no longer win is not waited for.  The pool is kept for the life of the
+    process, so later solves skip its start-up; each task carries its
+    instance.
 
     Returns the solution plus a stats dict.  ``solved`` counts the *required*
     problems, those whose bound beats the optimum or ties it at an index up
-    to the winner's; every schedule classifies and solves all of them, and
+    to the winner's; every schedule bounds and solves all of them, and
     the per-problem counters (``omega_total``, ``curves``, ``intersections``,
     ``max_curve_pair_intersections``, ``bound_exceeded``) are summed over
     them alone, so the stats do not depend on ``jobs``.  ``pruned`` counts
-    the rest, classified or not.
+    the rest, bounded or not.
 
     Raises ``ValueError``, before any work, unless ``trace_res`` is an
     integer ``>= 16``, ``cov_tol`` is finite and nonnegative, ``refine_tol``
@@ -1026,7 +1021,7 @@ def solve_global(
         found.results[k] for k in sorted(found.bounds) if _may_win(found.bounds[k], k, best)
     ]
     logger.info(
-        "solved %d of %d restricted problems, %d classified in %d edge pairs (jobs=%d)",
+        "solved %d of %d restricted problems, %d bounded in %d edge pairs (jobs=%d)",
         len(required),
         total,
         len(found.bounds),

@@ -28,6 +28,7 @@ from tripcover.fds_solver import (
 )
 from tripcover.level_curves import intersect_curves, trace_level_curve
 from tripcover.mixed_distance import (
+    DEFAULT_COVERAGE_TOL,
     SegmentGeometry,
     branch_field,
     coverage_and_objective,
@@ -663,7 +664,8 @@ def test_edge_pair_bounds_are_certified(random_suite, trapezoid_a04):
         problems = restricted_problems(inst, prep)
         seen = []
         for edges, bound in edge_pair_bounds(inst, prep).items():
-            members = restricted_problems(inst, prep, edges=edges)
+            a, b = fds_solver._members(prep, *edges)
+            members = restricted_problems(inst, prep, pairs=zip(a.tolist(), b.tolist()))
             assert {(rp.seg_p.edge, rp.seg_q.edge) for rp in members} == {edges}
             assert members == [problems[rp.index] for rp in members]
             assert max(problem_bounds(inst, prep, members)) <= bound
@@ -716,6 +718,125 @@ def test_edge_pair_floors_are_the_sampled_minimum(seed, transform):
             assert floors[pi, k] <= sampled + allowance
             if e != f:
                 assert floors[pi, k] >= sampled - slack - allowance
+
+
+def _floor_probes():
+    """fig4 and seed 104 scaled by 1e6 and shifted by 1e6."""
+
+    return [parse_instance(fig4_doc())] + [
+        parse_instance(transformed_doc(random_instance_doc(104), **transform))
+        for transform in ({"scale": 1e6}, {"shift": 1e6})
+    ]
+
+
+def _least_box_floors(inst, prep):
+    """Least ``_box_floors`` value of every pair on every problem's box, in
+    problem index order: an array of shape (pairs, problems)."""
+
+    segments = prep.segments
+    a, b = np.triu_indices(len(segments))
+    const = fds_solver._route_constants(inst, prep, segments, a, b)
+    table = fds_solver._floor_table(inst, segments)
+    floors = fds_solver._box_floors(inst, table, a, b, const, a == b)
+    return np.array([f.min(axis=(1, 2, 3)) for f in floors])
+
+
+def _segment_samples(net, seg, res):
+    """``res`` edge-local arc lengths over a segment and their planar points."""
+
+    ts = np.linspace(seg.start, seg.end, res)
+    pu, pw = net.edge_endpoints(seg.edge)
+    frac = ts / net.edges[seg.edge].length
+    return ts, pu.x + frac * (pw.x - pu.x), pu.y + frac * (pw.y - pu.y)
+
+
+def test_box_floors_are_certified(random_suite, trapezoid_a04):
+    # every problem's floor, from the vertex distances alone, is at most the
+    # least trip length over a 64x64 sample of its box; the network distance
+    # comes from the oracle, which shares no code with the solver, and a
+    # diagonal box is sampled on the whole square
+    for inst in random_suite + [trapezoid_a04] + _floor_probes():
+        net = inst.network
+        prep = preprocess_network(net)
+        segments = prep.segments
+        floors = _least_box_floors(inst, prep)
+        allowance = rounding_allowance(inst)
+        for k, (i, j) in enumerate(zip(*np.triu_indices(len(segments)))):
+            ps, px, py = _segment_samples(net, segments[i], 64)
+            qs, qx, qy = _segment_samples(net, segments[j], 64)
+            network = inst.alpha * edge_pair_distance(
+                net, prep.dist, segments[i].edge, segments[j].edge, ps[:, None], qs[None, :]
+            )
+            for pi, pair in enumerate(inst.pairs):
+                a = inst.facility_position(pair.origin)
+                b = inst.facility_position(pair.dest)
+                h12 = np.hypot(a.x - px, a.y - py)[:, None] + network + np.hypot(b.x - qx, b.y - qy)
+                h21 = np.hypot(a.x - qx, a.y - qy) + network + np.hypot(b.x - px, b.y - py)[:, None]
+                assert floors[pi, k] <= np.minimum(h12, h21).min() + allowance
+
+
+def _bound_from_field_floors(inst, rp):
+    """A problem's bound rebuilt from the floors of its classified forms."""
+
+    scale = fds_solver._rounding_scale(inst)
+    bound = 0.0
+    for pair, floors in zip(inst.pairs, field_floors(inst, rp)):
+        least = min(floors[orientation].min() for orientation in floors)
+        level = pair.acceptance + DEFAULT_COVERAGE_TOL
+        bound += pair.weight * (not fds_solver._exceeds(least, level, scale))
+    return bound
+
+
+def test_box_floors_and_class_forms_give_equal_bounds(random_suite, trapezoid_a04):
+    # the route floors need no classification; on every problem they decide
+    # each pair exactly as the floors of its classified forms do
+    grids = [parse_instance(grid_instance_doc(*spec)) for spec in ((3, 8, 30), (4, 10, 12))]
+    for inst in random_suite + [trapezoid_a04] + _floor_probes() + grids:
+        problems, bounds = _bounds(inst)
+        assert bounds == [_bound_from_field_floors(inst, rp) for rp in problems]
+
+
+def test_search_classifies_only_the_problems_it_solves(random_suite, monkeypatch):
+    calls = {"classify": 0, "solve": 0}
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(
+        fds_solver, "classify_segment_pair", counted("classify", fds_solver.classify_segment_pair)
+    )
+    monkeypatch.setattr(
+        fds_solver, "solve_restricted", counted("solve", fds_solver.solve_restricted)
+    )
+    for insts in (random_suite, [parse_instance(grid_instance_doc(4, 10, 12))]):
+        calls.update(classify=0, solve=0)
+        for inst in insts:
+            solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=1)
+        assert calls["classify"] == calls["solve"] > 0
+
+
+def test_restricted_problems_rejects_pairs_out_of_range(monkeypatch):
+    # before, such a pair got a wrong index without any error
+    inst = parse_instance(fig4_doc())
+    prep = preprocess_network(inst.network)
+    problems = restricted_problems(inst, prep)
+    n = len(prep.segments)
+    assert restricted_problems(inst, prep, pairs=[(2, 5), (0, 0)]) == [
+        problems[fds_solver._rp_index(n, 2, 5)],
+        problems[0],
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a segment pair was classified before the pairs were checked")
+
+    monkeypatch.setattr(fds_solver, "classify_segment_pair", refuse)
+    for bad in ((-1, 0), (3, 2), (0, n), (n, n), (0.5, 1)):
+        with pytest.raises(ValueError, match="segment pair must have 0 <= a <= b <"):
+            restricted_problems(inst, prep, pairs=[(0, 0), bad])
 
 
 @pytest.mark.parametrize("name", ["fig4", "seed103", "seed120"])
@@ -1147,7 +1268,8 @@ def test_grid4_40_pairs_objective():
 @pytest.mark.slow
 def test_grid5_60_pairs_reaches_the_oracle():
     inst = parse_instance(grid_instance_doc(5, 15, 60))
-    sol, _ = solve_global(inst, trace_res=128)
+    sol, stats = solve_global(inst, trace_res=128)
+    assert stats["solved"] == 13
     assert sol.objective >= oracle_grid(inst, res=200).objective
 
 
@@ -1156,6 +1278,7 @@ def test_grid6_100_pairs_reaches_the_oracle():
     inst = parse_instance(grid_instance_doc(6, 20, 100))
     sol, stats = solve_global(inst, trace_res=128)
     assert stats["restricted_problems"] == 94830
+    assert stats["solved"] == 16
     assert sol.objective >= oracle_grid(inst, res=100).objective  # both 52
 
 
@@ -1164,5 +1287,6 @@ def test_grid8_200_pairs_objective():
     inst = parse_instance(grid_instance_doc(8, 30, 200))
     sol, stats = solve_global(inst, trace_res=128)
     assert stats["restricted_problems"] == 520710
+    assert stats["solved"] == 12
     assert sol.objective == 79.0
     assert sol.objective >= oracle_grid(inst, res=100).objective  # both 79
