@@ -33,7 +33,8 @@ Square Small Square).  On a box the network distance is the least of affine
 routes through the edges' ends (and the direct route on one edge), so in each
 slope class the trip length is separable and its floor is two closed-form axis
 floors (``axis_floor``) plus the least route constant; on one interval twice a
-weak-duality relaxation of ``alpha*|x - y|`` gives the same shape.  The floors
+weak-duality relaxation of the direct route ``alpha*|x - y|`` gives the same
+shape, beside the routes through the ends of a whole edge.  The floors
 need no classification and bound the objective over the box (the weight of the
 pairs whose floor reaches the acceptance level).  One best-first search holds
 both levels: an edge pair's problems are bounded only once its own bound can
@@ -45,6 +46,7 @@ is the one a full sweep returns.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import logging
@@ -322,8 +324,12 @@ def _route_constants(
     leaves the first segment's edge through end ``u`` (its length from ``x``
     has slope +1 in ``x``) or ``w`` (slope -1) and enters the second's the
     same way, so it is affine with constant ``off_p + D[end_p, end_q] +
-    off_q``, ``off = (start, length - start)``.  On one edge the direct route
-    ``y - x``, constant ``start_q - start_p``, joins the class ``(w, u)``.
+    off_q``, ``off = (start, length - start)``.  On two intervals of one edge
+    the direct route ``y - x``, constant ``start_q - start_p``, joins the
+    class ``(w, u)``.  On one interval twice ``_box_floors`` bounds the direct
+    route ``|x - y|`` apart; the classes hold the routes through the ends on a
+    whole edge of several segments (one longer than the distance between its
+    ends), and ``inf`` on one linear arc segment, where none is shorter.
     Entry ``[k, i, j]`` holds class ``(i, j)``, 0 for ``u`` and 1 for ``w``.
     """
 
@@ -335,8 +341,11 @@ def _route_constants(
     off = np.stack([start, np.array([e.length for e in net.edges])[edge] - start], axis=1)
     const = off[p][:, :, None] + prep.dist[ends[p][:, :, None], ends[q][:, None, :]]
     const += off[q][:, None, :]
-    one = edge[p] == edge[q]
+    one = (edge[p] == edge[q]) & (p != q)
     const[one, 1, 0] = np.minimum(const[one, 1, 0], start[q[one]] - start[p[one]])
+    linear = p == q
+    linear[linear] = [segments[k] in prep.segments_by_edge[segments[k].edge] for k in p[linear]]
+    const[linear] = np.inf
     return inst.alpha * const
 
 
@@ -353,9 +362,10 @@ def _box_floors(
     class's field is ``u(x) + v(y) + const``, each axis term a distance plus
     ``±alpha`` times its coordinate, so its floor is two axis floors plus the
     constant.  On a ``same`` box (one interval twice), adding ``lam*(x - y)
-    <= 0`` on the triangle ``x <= y`` (``lam*(y - x)`` on ``x >= y``) to
-    ``alpha*|x - y|`` for any ``lam >= 0`` leaves a separable lower bound;
-    every class holds the lesser triangle's best bound over the multipliers.
+    <= 0`` on the triangle ``x <= y`` (``lam*(y - x)`` on ``x >= y``) to the
+    direct route ``alpha*|x - y|`` for any ``lam >= 0`` leaves a separable
+    lower bound; every class holds the lesser of its own floor and the lesser
+    triangle's best bound over the multipliers.
     """
 
     m = (table.shape[2] - 2) // 2
@@ -368,9 +378,8 @@ def _box_floors(
         for k, (fp, fq) in enumerate(((a, b), (b, a))):
             # columns 0 and 1 of the table hold coefficients +alpha and -alpha
             out[:, k] = (table[fp, p, :2][:, :, None] + table[fq, q, :2][:, None, :]) + const
-            out[same, k] = np.minimum(
-                (up[fp] + down[fq]).max(axis=1), (down[fp] + up[fq]).max(axis=1)
-            )[:, None, None]
+            direct = np.minimum((up[fp] + down[fq]).max(axis=1), (down[fp] + up[fq]).max(axis=1))
+            out[same, k] = np.minimum(out[same, k], direct[:, None, None])
         yield out
 
 
@@ -850,11 +859,10 @@ def _solve_task(inst: ProblemInstance, params: dict, rp: RestrictedProblem) -> F
 
 @dataclass
 class _Search:
-    """What the branch-and-bound bounded, classified and solved."""
+    """What the branch-and-bound bounded and solved."""
 
     best: FdsSolution | None
     bounds: dict[int, float]  # every bounded problem's bound, by index
-    problems: dict[int, RestrictedProblem]  # every classified problem, by index
     results: dict[int, FdsSolution]
     edge_pairs: int  # edge pairs expanded
 
@@ -916,16 +924,14 @@ def _best_first(
     ]
     heapq.heapify(heap)
     member_bounds = _box_bounder(inst, prep, prep.segments, cov_tol)
-    out = _Search(None, {}, {}, {}, 0)
+    out = _Search(None, {}, {}, 0)
     pending: dict[Future, int] = {}  # task -> index of its problem
 
     def next_may_win() -> bool:
         return bool(heap) and _may_win(-heap[0][0], heap[0][1], out.best)
 
     def classify(pair: tuple[int, int]) -> RestrictedProblem:
-        (rp,) = restricted_problems(inst, prep, pairs=[pair])
-        out.problems[rp.index] = rp
-        return rp
+        return restricted_problems(inst, prep, pairs=[pair])[0]
 
     def record(done) -> None:
         for future in done:
@@ -1028,13 +1034,11 @@ def solve_global(
         found.edge_pairs,
         jobs,
     )
-    rp = found.problems[best.rp_index]
-    x1 = network_point(
-        inst.network, rp.seg_p.edge, rp.seg_p.start + best.best[0]
-    )
-    x2 = network_point(
-        inst.network, rp.seg_q.edge, rp.seg_q.start + best.best[1]
-    )
+    # the winner's segment pair, its index read back through _rp_index
+    a = bisect.bisect_right(range(n), best.rp_index, key=lambda a: _rp_index(n, a, a)) - 1
+    seg_p, seg_q = prep.segments[a], prep.segments[best.rp_index - _rp_index(n, a, a) + a]
+    x1 = network_point(inst.network, seg_p.edge, seg_p.start + best.best[0])
+    x2 = network_point(inst.network, seg_q.edge, seg_q.start + best.best[1])
     solution = Solution(x1, x2, best.objective, best.covered)
     stats = {
         "segments": n,

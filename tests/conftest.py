@@ -78,6 +78,24 @@ def fig4_doc(d_kr=10.5, alpha=0.4):
     )
 
 
+def detour_doc():
+    """An edge three times longer than the near-straight two-edge detour
+    between its ends, whose trip through both ends is the only one that
+    covers the pair on that edge: in at u, 10 along the detour, out at w."""
+
+    return {
+        "alpha": 0.5,
+        "vertices": [
+            {"id": 0, "x": 0.0, "y": 0.0},
+            {"id": 1, "x": 10.0, "y": 0.0},
+            {"id": 2, "x": 5.0, "y": 0.1},
+        ],
+        "edges": [{"u": 0, "w": 1, "length": 30.0}, {"u": 0, "w": 2}, {"u": 2, "w": 1}],
+        "facilities": [{"id": 0, "x": 0.0, "y": -1.0}, {"id": 1, "x": 10.0, "y": -1.0}],
+        "pairs": [{"i": 0, "j": 1, "t": 1.0, "d": 8.0}],
+    }
+
+
 @pytest.fixture(scope="session")
 def trapezoid():
     return parse_instance(trapezoid_doc())

@@ -47,6 +47,7 @@ from conftest import (
     SUITE_SEEDS,
     SUITE_TRACE_RES,
     antipodal_problem,
+    detour_doc,
     fig4_doc,
     full_sweep,
     grid_instance_doc,
@@ -653,13 +654,15 @@ def test_problem_bounds_are_certified(random_suite, random_suite_sweeps, trapezo
 
 def test_edge_pair_bounds_are_certified(random_suite, trapezoid_a04):
     # every problem lies in exactly one edge pair, whose bound is at least the
-    # member's own bound and what the grid oracle finds on the member
+    # member's own bound and what the grid oracle finds on the member; on the
+    # detour network the one covering trip on the long edge leaves it
     probes = [
         parse_instance(transformed_doc(doc, **transform))
         for doc in (fig4_doc(), random_instance_doc(104))
         for transform in ({"scale": 1e6}, {"shift": 1e6})
     ]
-    for inst in random_suite + [parse_instance(fig4_doc()), trapezoid_a04] + probes:
+    fixtures = [parse_instance(fig4_doc()), trapezoid_a04, parse_instance(detour_doc())]
+    for inst in random_suite + fixtures + probes:
         prep = preprocess_network(inst.network)
         problems = restricted_problems(inst, prep)
         seen = []
@@ -686,13 +689,15 @@ def rounding_allowance(inst):
 
 
 @pytest.mark.parametrize("transform", [{}, {"scale": 1e6}, {"shift": 1e6}])
-@pytest.mark.parametrize("seed", [104, 107, 120])
+@pytest.mark.parametrize("seed", [104, 107, 120, "detour"])
 def test_edge_pair_floors_are_the_sampled_minimum(seed, transform):
     # on two different edges the floor is the minimum of the trip length over
     # the edge-pair rectangle, so it lies within the sampling error of a 33x33
     # grid minimum (the trip length is (1 + alpha)-Lipschitz per axis); on one
-    # edge it only has to stay below it
-    inst = parse_instance(transformed_doc(random_instance_doc(seed), **transform))
+    # edge it only has to stay below it, routes through the edge's ends
+    # included, which the detour network's long edge needs
+    doc = detour_doc() if seed == "detour" else random_instance_doc(seed)
+    inst = parse_instance(transformed_doc(doc, **transform))
     net = inst.network
     prep = preprocess_network(net)
     floors = np.array(list(edge_pair_floors(inst, prep)))
@@ -721,9 +726,9 @@ def test_edge_pair_floors_are_the_sampled_minimum(seed, transform):
 
 
 def _floor_probes():
-    """fig4 and seed 104 scaled by 1e6 and shifted by 1e6."""
+    """fig4, the detour network and seed 104 scaled by 1e6 and shifted by 1e6."""
 
-    return [parse_instance(fig4_doc())] + [
+    return [parse_instance(fig4_doc()), parse_instance(detour_doc())] + [
         parse_instance(transformed_doc(random_instance_doc(104), **transform))
         for transform in ({"scale": 1e6}, {"shift": 1e6})
     ]
@@ -1025,7 +1030,7 @@ def test_stats_cover_the_required_problems(random_suite, random_suite_sweeps):
     assert solved < total / 4
 
 
-PROBE_OBJECTIVES = {"fig4": 2.0, "seed104": 12.0, "seed107": 25.0}
+PROBE_OBJECTIVES = {"detour": 1.0, "fig4": 2.0, "seed104": 12.0, "seed107": 25.0}
 PROBE_TRANSFORMS = {
     "unchanged": {},
     "scale1e-3": {"scale": 1e-3},
@@ -1038,6 +1043,8 @@ PROBE_TRANSFORMS = {
 def _probe_doc(name):
     if name == "fig4":
         return fig4_doc()
+    if name == "detour":
+        return detour_doc()
     return random_instance_doc(int(name.removeprefix("seed")))
 
 
