@@ -46,7 +46,7 @@ _OPTIONS = {
     "--cov-tol": dict(type=float, default=1e-9, help="coverage test slack"),
     "--refine-tol": dict(type=float, default=1e-9, help="crossing bisection tolerance"),
     "--jobs": dict(
-        type=int, default=1, help="processes that solve at once, this one included"
+        type=int, default=1, help="accepted and checked; every solve runs in this process"
     ),
 }
 

@@ -51,15 +51,9 @@ import heapq
 import itertools
 import logging
 import math
-import multiprocessing
 import numbers
-import os
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing.util import Finalize
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -804,96 +798,17 @@ def _may_win(bound: float, index: int, incumbent: FdsSolution | None) -> bool:
     return index <= incumbent.rp_index
 
 
-def _record(
-    sol: FdsSolution, results: dict[int, FdsSolution], best: FdsSolution | None
-) -> FdsSolution:
-    results[sol.rp_index] = sol
-    return sol if best is None or _rank(sol) < _rank(best) else best
-
-
-# One pool per (process, worker count), made by the first solve with a worker
-# to spare and kept for the life of the process, so a caller solving many
-# instances pays the start-up once.  Its workers are forked at the first
-# submit, so a pool that is never sent a task costs no process.  The pid in
-# the key gives a forked child its own pool: the parent's manager thread does
-# not exist in the child.
-_pools: dict[tuple[int, int], ProcessPoolExecutor] = {}
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _exit_with_owner() -> None:
-    """Worker initializer: end the worker when the process owning its pool
-    ends without shutting the pool down (killed, or ``os._exit``); an idle
-    worker would otherwise wait for tasks forever."""
-
-    owner = multiprocessing.parent_process()
-
-    def watch() -> None:
-        owner.join()
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """This process's pool of ``workers`` workers, started on first use."""
-
-    key = (os.getpid(), workers)
-    if key not in _pools:
-        pool = _pools[key] = ProcessPoolExecutor(workers, initializer=_exit_with_owner)
-        # A multiprocessing child joins its children at exit before the exit
-        # hook of concurrent.futures would stop them.  Shut the pool down
-        # first, and ahead of the finalizers (priority 10) closing its queues.
-        Finalize(None, pool.shutdown, exitpriority=20)
-    return _pools[key]
-
-
-def _solve_task(inst: ProblemInstance, params: dict, rp: RestrictedProblem) -> FdsSolution:
-    return solve_restricted(inst, rp, **params)
-
-
 @dataclass
 class _Search:
     """What the branch-and-bound bounded and solved."""
 
     best: FdsSolution | None
-    bounds: dict[int, float]  # every bounded problem's bound, by index
-    results: dict[int, FdsSolution]
+    solved: list[FdsSolution]
+    bounded: int  # problems bounded
     edge_pairs: int  # edge pairs expanded
 
 
-def _search(
-    inst: ProblemInstance, prep: Preprocessed, cov_tol: float, params: dict, jobs: int
-) -> _Search:
-    """``_best_first`` with ``min(jobs, usable CPUs)`` solvers: this process
-    and, when that is above one, this process's pool of one worker fewer.  A
-    broken pool (a worker died, say killed between solves) is replaced and the
-    search run once more.
-    """
-
-    helpers = min(jobs, _usable_cpus()) - 1
-    if helpers == 0:
-        return _best_first(inst, prep, cov_tol, params, None, 0)
-    try:
-        return _best_first(inst, prep, cov_tol, params, _pool(helpers), helpers)
-    except BrokenProcessPool:
-        _pools.pop((os.getpid(), helpers)).shutdown()
-    return _best_first(inst, prep, cov_tol, params, _pool(helpers), helpers)
-
-
-def _best_first(
-    inst: ProblemInstance,
-    prep: Preprocessed,
-    cov_tol: float,
-    params: dict,
-    pool: ProcessPoolExecutor | None,
-    helpers: int,
-) -> _Search:
+def _best_first(inst: ProblemInstance, prep: Preprocessed, cov_tol: float, params: dict) -> _Search:
     """Best-first search over edge pairs and restricted problems in one heap.
 
     Both are keyed ``(-bound, index)``; an edge pair's index is that of its
@@ -901,17 +816,10 @@ def _best_first(
     member is keyed ahead of its edge pair and the keys are unique.  The
     search pops the least key while it may still beat or tie the incumbent:
     an edge pair's members (``_members``) are bounded and pushed unclassified,
-    and a problem is classified (``restricted_problems``) and solved in this
-    process, so this process takes the problems in the order ``jobs=1`` does.
-    Once there is an incumbent, the problems keyed next are classified here
-    and go to ``pool`` first, while they may still win and fewer than
-    ``helpers`` tasks are in flight.  Before an incumbent every problem may
-    win, so a solve that needs one problem sends no task.  After each solve
-    here the finished tasks are recorded; the reduction order is total, so the
-    order of recording does not matter.  When no key may win, the search waits
-    for the tasks whose problems still may; a task whose problem no longer may
-    cannot change the answer, and is left to finish on its own.  Each pool
-    task carries the instance, the parameters and the classified problem.
+    and a problem is classified (``restricted_problems``) and solved.  Keys
+    pop in increasing order and the incumbent only improves, so the problems
+    solved are exactly those whose bound beats the answer, or ties it at an
+    index up to the winner's.
     """
 
     n = len(prep.segments)
@@ -924,47 +832,24 @@ def _best_first(
     ]
     heapq.heapify(heap)
     member_bounds = _box_bounder(inst, prep, prep.segments, cov_tol)
-    out = _Search(None, {}, {}, 0)
-    pending: dict[Future, int] = {}  # task -> index of its problem
+    out = _Search(None, [], 0, 0)
 
-    def next_may_win() -> bool:
-        return bool(heap) and _may_win(-heap[0][0], heap[0][1], out.best)
-
-    def classify(pair: tuple[int, int]) -> RestrictedProblem:
-        return restricted_problems(inst, prep, pairs=[pair])[0]
-
-    def record(done) -> None:
-        for future in done:
-            del pending[future]
-            out.best = _record(future.result(), out.results, out.best)
-
-    while True:
-        while next_may_win():
-            negated, _, pair, is_problem = heapq.heappop(heap)
-            if is_problem:
-                while (
-                    out.best is not None
-                    and len(pending) < helpers
-                    and next_may_win()
-                    and heap[0][3]
-                ):
-                    rp = classify(heapq.heappop(heap)[2])
-                    pending[pool.submit(_solve_task, inst, params, rp)] = rp.index
-                sol = solve_restricted(inst, classify(pair), **params)
-                out.best = _record(sol, out.results, out.best)
-                record([future for future in pending if future.done()])
-                continue
-            a, b = _members(prep, *pair)
-            out.edge_pairs += 1
-            for i, j, bound in zip(a.tolist(), b.tolist(), member_bounds(a, b).tolist()):
-                bound = min(bound, -negated)
-                index = _rp_index(n, i, j)
-                out.bounds[index] = bound
-                heapq.heappush(heap, (-bound, index, (i, j), True))
-        live = [f for f, k in pending.items() if _may_win(out.bounds[k], k, out.best)]
-        if not live:
-            return out
-        record(wait(live, return_when=FIRST_COMPLETED).done)
+    while heap and _may_win(-heap[0][0], heap[0][1], out.best):
+        negated, _, pair, is_problem = heapq.heappop(heap)
+        if is_problem:
+            rp = restricted_problems(inst, prep, pairs=[pair])[0]
+            sol = solve_restricted(inst, rp, **params)
+            out.solved.append(sol)
+            if out.best is None or _rank(sol) < _rank(out.best):
+                out.best = sol
+            continue
+        a, b = _members(prep, *pair)
+        out.edge_pairs += 1
+        out.bounded += len(a)
+        for i, j, bound in zip(a.tolist(), b.tolist(), member_bounds(a, b).tolist()):
+            bound = min(bound, -negated)
+            heapq.heappush(heap, (-bound, _rp_index(n, i, j), (i, j), True))
+    return out
 
 
 def solve_global(
@@ -985,23 +870,15 @@ def solve_global(
     index then lexicographic point.  Problems are classified and solved in
     the same order, under the same test; neither bound needs a
     classification.  The result is therefore the one a sweep over every
-    problem returns.  ``jobs`` counts the processes that solve at once, this
-    one included: up to ``min(jobs, usable CPUs)``, with a process pool of
-    one worker fewer.  This process solves problems in the order ``jobs=1``
-    does; the pool takes the problems keyed after the one it solves, and
-    nothing is sent to the pool before the first problem is solved, so a
-    solve that never needs the pool forks nothing.  A task whose problem can
-    no longer win is not waited for.  The pool is kept for the life of the
-    process, so later solves skip its start-up; each task carries its
-    instance.
+    problem returns.  Every problem is solved in this process; ``jobs`` is
+    checked and has no other effect.
 
-    Returns the solution plus a stats dict.  ``solved`` counts the *required*
+    Returns the solution plus a stats dict.  ``solved`` counts the solved
     problems, those whose bound beats the optimum or ties it at an index up
-    to the winner's; every schedule bounds and solves all of them, and
-    the per-problem counters (``omega_total``, ``curves``, ``intersections``,
-    ``max_curve_pair_intersections``, ``bound_exceeded``) are summed over
-    them alone, so the stats do not depend on ``jobs``.  ``pruned`` counts
-    the rest, bounded or not.
+    to the winner's, and the per-problem counters (``omega_total``,
+    ``curves``, ``intersections``, ``max_curve_pair_intersections``,
+    ``bound_exceeded``) are summed over them.  ``pruned`` counts the rest,
+    bounded or not.
 
     Raises ``ValueError``, before any work, unless ``trace_res`` is an
     integer ``>= 16``, ``cov_tol`` is finite and nonnegative, ``refine_tol``
@@ -1017,22 +894,16 @@ def solve_global(
 
     prep = preprocess_network(inst.network)
     params = dict(trace_res=trace_res, cov_tol=cov_tol, refine_tol=refine_tol)
-    found = _search(inst, prep, cov_tol, params, jobs)
-    best = found.best
+    found = _best_first(inst, prep, cov_tol, params)
+    best, solved = found.best, found.solved
     n = len(prep.segments)
     total = n * (n + 1) // 2
-
-    # every schedule solves these: the problems that could tie or beat the winner
-    required = [
-        found.results[k] for k in sorted(found.bounds) if _may_win(found.bounds[k], k, best)
-    ]
     logger.info(
-        "solved %d of %d restricted problems, %d bounded in %d edge pairs (jobs=%d)",
-        len(required),
+        "solved %d of %d restricted problems, %d bounded in %d edge pairs",
+        len(solved),
         total,
-        len(found.bounds),
+        found.bounded,
         found.edge_pairs,
-        jobs,
     )
     # the winner's segment pair, its index read back through _rp_index
     a = bisect.bisect_right(range(n), best.rp_index, key=lambda a: _rp_index(n, a, a)) - 1
@@ -1043,15 +914,15 @@ def solve_global(
     stats = {
         "segments": n,
         "restricted_problems": total,
-        "solved": len(required),
-        "pruned": total - len(required),
-        "omega_total": int(sum(s.counters["omega"] for s in required)),
-        "curves": int(sum(s.counters["curves"] for s in required)),
-        "intersections": int(sum(s.counters["intersections"] for s in required)),
+        "solved": len(solved),
+        "pruned": total - len(solved),
+        "omega_total": int(sum(s.counters["omega"] for s in solved)),
+        "curves": int(sum(s.counters["curves"] for s in solved)),
+        "intersections": int(sum(s.counters["intersections"] for s in solved)),
         "max_curve_pair_intersections": int(
-            max((s.counters["max_curve_pair_intersections"] for s in required), default=0)
+            max((s.counters["max_curve_pair_intersections"] for s in solved), default=0)
         ),
-        "bound_exceeded": int(sum(s.counters["bound_exceeded"] for s in required)),
+        "bound_exceeded": int(sum(s.counters["bound_exceeded"] for s in solved)),
         "runtime_ms": (time.perf_counter() - started) * 1000.0,
     }
     return solution, stats

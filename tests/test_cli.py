@@ -2,11 +2,12 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from tripcover import cli, fds_solver
-from conftest import S6, fig4_doc, trapezoid_doc
+from tripcover import cli
+from conftest import S6, fig4_doc, random_instance_doc, trapezoid_doc
 
 
 def run_cli(*args):
@@ -25,6 +26,7 @@ def files(tmp_path_factory):
         ("fig2", trapezoid_doc(alpha=0.4)),
         ("fig2_a03", trapezoid_doc(alpha=0.3)),
         ("fig4", fig4_doc()),
+        ("seed139", random_instance_doc(139)),
         ("bad_alpha", trapezoid_doc(alpha=1.5)),
     ):
         path = root / f"{name}.json"
@@ -239,14 +241,13 @@ def test_curves_json_format(files):
     }
 
 
-def test_solve_needing_one_problem_forks_nothing(files, monkeypatch, capsys):
-    # fig4 needs one restricted problem, which the solving process takes itself
-    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(fds_solver, "_pools", {})
-    before = set(multiprocessing.active_children())
-    assert cli.main(["solve", "--instance", str(files["fig4"]), "--jobs", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["stats"]["solved"] == 1
-    assert set(multiprocessing.active_children()) == before
+def test_solve_starts_no_process_or_thread(files, capsys):
+    # suite seed 139 solves 10 restricted problems, all in this process
+    processes, threads = set(multiprocessing.active_children()), set(threading.enumerate())
+    assert cli.main(["solve", "--instance", str(files["seed139"]), "--jobs", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["solved"] == 10
+    assert set(multiprocessing.active_children()) == processes
+    assert set(threading.enumerate()) == threads
 
 
 def test_jobs_produce_byte_identical_documents(files):
@@ -266,3 +267,14 @@ def test_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_process_pools_out():
+    # every solve runs in the calling process
+    code = (
+        "import sys, tripcover.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

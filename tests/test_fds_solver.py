@@ -1,11 +1,5 @@
 import itertools
 import math
-import multiprocessing
-import multiprocessing.connection
-import os
-import signal
-import time
-from concurrent.futures import Future, ProcessPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -362,7 +356,7 @@ def test_solver_never_below_oracle_quick(random_suite):
 
 def test_parallel_jobs_bitwise_identical(trapezoid_a04):
     # suite generator seed 139 leaves 10 of its 91 problems to solve, enough
-    # that both pruning and the pool act
+    # that pruning acts and more than one problem is solved
     for inst in (trapezoid_a04, parse_instance(random_instance_doc(139))):
         sol1, stats1 = solve_global(inst, trace_res=96, jobs=1)
         sol2, stats2 = solve_global(inst, trace_res=96, jobs=4)
@@ -373,7 +367,7 @@ def test_parallel_jobs_bitwise_identical(trapezoid_a04):
         stats2.pop("runtime_ms")
         assert stats1 == stats2
         assert stats1["pruned"] > 0
-    assert stats1["solved"] > 4  # seed 139 keeps all four workers busy
+    assert stats1["solved"] > 4
 
 
 def _outcome(sol, stats):
@@ -384,248 +378,11 @@ def _outcome(sol, stats):
     }
 
 
-needs_pool = pytest.mark.skipif(
-    fds_solver._usable_cpus() < 2, reason="jobs=2 solves in-process on one usable CPU"
-)
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
-
-
-@pytest.fixture
-def own_pools(monkeypatch):
-    """An empty pool registry for one test, whose pools are shut down after
-    it; yields a function listing the child processes started since."""
-
-    pools, before = {}, set(multiprocessing.active_children())
-    monkeypatch.setattr(fds_solver, "_pools", pools)
-    yield lambda: [p for p in multiprocessing.active_children() if p not in before]
-    for pool in pools.values():
-        pool.shutdown()
-
-
-@pytest.fixture
-def submits(monkeypatch):
-    """The restricted problem of every task submitted to a process pool
-    during one test, in order."""
-
-    problems = []
-    submit = ProcessPoolExecutor.submit
-
-    def counting(self, fn, *args):
-        problems.append(args[-1].index)
-        return submit(self, fn, *args)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
-    return problems
-
-
-@needs_pool
-def test_pool_reused_across_solves_without_carrying_state(own_pools, submits):
-    # each task carries its instance and parameters: a worker that kept the
-    # first solve's would give the first answer again
-    seed139 = parse_instance(random_instance_doc(139))
-    runs = [
-        (seed139, dict(trace_res=96)),
-        (parse_instance(random_instance_doc(127)), dict(trace_res=128)),
-        (seed139, dict(trace_res=96, cov_tol=1.0)),
-    ]
-    workers, outcomes = [], []
-    for inst, params in runs:
-        submits.clear()
-        pooled = _outcome(*solve_global(inst, jobs=2, **params))
-        assert len(submits) >= 1, "the solve never reached the pool"
-        assert pooled == _outcome(*solve_global(inst, jobs=1, **params))
-        outcomes.append(pooled)
-        workers.append({p.pid for p in own_pools()})
-    assert len(workers[0]) == 1 and workers[1] == workers[0] and workers[2] == workers[0]
-    assert outcomes[0] != outcomes[1] and outcomes[0] != outcomes[2]
-
-
-def test_solve_needing_one_problem_submits_nothing(random_suite, own_pools, submits, monkeypatch):
-    # before an incumbent every problem may win, so a second solver would
-    # only speculate; the solving process takes the first problem itself
-    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 2)
-    solved = []
-    solve = fds_solver.solve_restricted
-
-    def recording(inst, rp, **params):
-        solved.append(rp.index)
-        return solve(inst, rp, **params)
-
-    monkeypatch.setattr(fds_solver, "solve_restricted", recording)
-    single = 0
-    for inst in random_suite:
-        solved.clear()
-        solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=1)
-        if len(solved) != 1:
-            continue
-        single += 1
-        alone = list(solved)
-        solved.clear()
-        solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=2)
-        assert submits == [] and solved == alone
-    assert single >= 16
-    assert own_pools() == []
-
-
-def test_outcome_and_stats_equal_across_jobs(random_suite, own_pools, monkeypatch):
-    # four usable CPUs, so jobs=4 runs three workers even on a smaller host
-    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 4)
+def test_outcome_and_stats_equal_across_jobs(random_suite):
     for inst in random_suite + [parse_instance(grid_instance_doc(4, 10, 12))]:
         expected = _outcome(*solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=1))
         for jobs in (2, 4):
             assert _outcome(*solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=jobs)) == expected
-
-
-def _solve_in_child(conn, inst) -> None:
-    conn.send(_outcome(*solve_global(inst, trace_res=96, jobs=2)))
-    conn.close()
-
-
-@needs_pool
-@needs_fork
-def test_forked_child_starts_its_own_pool():
-    # the child inherits the parent's pool but not the thread that runs it,
-    # and it must shut its own pool down at exit or wait for it forever
-    inst = parse_instance(random_instance_doc(139))
-    expected = _outcome(*solve_global(inst, trace_res=96, jobs=1))
-    assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_solve_in_child, args=(writer, inst))
-    child.start()
-    writer.close()
-    try:
-        assert reader.poll(60), "the child's solve did not finish"
-        assert reader.recv() == expected
-        child.join(60)
-        assert not child.is_alive(), "the child did not exit"
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.terminate()
-            child.join()
-
-
-@needs_pool
-def test_dead_worker_does_not_fail_the_next_solve(own_pools):
-    inst = parse_instance(random_instance_doc(139))
-    expected = _outcome(*solve_global(inst, trace_res=96, jobs=1))
-    assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
-    worker = own_pools()[0]
-    worker.kill()
-    # the pool's manager thread may reap the worker before this join does, and
-    # is_alive() then reads True; the sentinel is ready once the worker ended
-    assert multiprocessing.connection.wait([worker.sentinel], 30), "the worker did not end"
-    for _ in range(2):  # the solve that replaces the pool, and one on the replacement
-        assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
-
-
-def _solve_and_vanish(conn, inst) -> None:
-    solve_global(inst, trace_res=96, jobs=2)
-    conn.send([p.pid for p in multiprocessing.active_children()])
-    conn.close()
-    os._exit(0)  # skips every exit hook, as a killed process would
-
-
-def _running(pid: int) -> bool:
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-@needs_pool
-@needs_fork
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
-def test_pool_workers_exit_with_their_owner():
-    inst = parse_instance(random_instance_doc(139))
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    owner = ctx.Process(target=_solve_and_vanish, args=(writer, inst))
-    owner.start()
-    writer.close()
-    workers = []
-    try:
-        assert reader.poll(60), "the owner's solve did not finish"
-        workers = reader.recv()
-        owner.join(60)
-        assert len(workers) == 1  # jobs=2: the owner solves too
-        deadline = time.monotonic() + 30
-        while any(map(_running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(_running, workers)), "an orphaned worker is still running"
-    finally:
-        if owner.is_alive():
-            owner.kill()
-            owner.join()
-        for pid in filter(_running, workers):
-            os.kill(pid, signal.SIGKILL)
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """A fake process pool whose tasks run, oldest first, only when the search
-    waits: a real one with a huge ``jobs`` would fork that many processes.
-    Yields the size of each pool made, the tasks in flight after each submit
-    and the tasks not yet run."""
-
-    sizes, in_flight, queued = [], [], []
-
-    class FakePool:
-        def __init__(self, max_workers, initializer=None):
-            sizes.append(max_workers)
-
-        def submit(self, fn, *args):
-            future = Future()
-            queued.append((future, fn, args))
-            in_flight.append(len(queued))
-            return future
-
-        def shutdown(self):
-            pass
-
-    def finishing_wait(fs, return_when):
-        future, fn, args = queued.pop(0)
-        future.set_result(fn(*args))
-        return wait(fs, return_when=return_when)
-
-    monkeypatch.setattr(fds_solver, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(fds_solver, "wait", finishing_wait)
-    monkeypatch.setattr(fds_solver, "_pools", {})
-    return sizes, in_flight, queued
-
-
-def test_pool_capped_at_usable_cpus(fake_pool, monkeypatch):
-    sizes, in_flight, queued = fake_pool
-    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 3)
-    inst = parse_instance(random_instance_doc(139))
-    expected = _outcome(*solve_global(inst, trace_res=96, jobs=1))
-    for _ in range(2):  # the second solve reuses the first one's pool
-        assert _outcome(*solve_global(inst, trace_res=96, jobs=10_000)) == expected
-    # three solvers: this process and two workers
-    assert sizes == [2] and max(in_flight) == 2 and not queued
-    in_flight.clear()
-    assert _outcome(*solve_global(inst, trace_res=96, jobs=2)) == expected
-    assert sizes == [2, 1] and max(in_flight) == 1 and not queued
-    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 1)
-    assert _outcome(*solve_global(inst, trace_res=96, jobs=10_000)) == expected
-    assert sizes == [2, 1]  # one usable CPU solves in-process
-
-
-def test_search_does_not_wait_for_tasks_that_cannot_win(fake_pool, monkeypatch):
-    # grid4/10/12 needs two problems, the second winning a tie at the optimum
-    # by its index; the pool takes the one after it, which then cannot win,
-    # and the search returns without its result
-    sizes, in_flight, queued = fake_pool
-    monkeypatch.setattr(fds_solver, "_usable_cpus", lambda: 2)
-    inst = parse_instance(grid_instance_doc(4, 10, 12))
-    expected = _outcome(*solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=1))
-    assert expected[-1]["solved"] == 2
-    assert _outcome(*solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=2)) == expected
-    assert sizes == [1] and in_flight == [1] and len(queued) == 1
 
 
 def _bounds(inst):
@@ -817,11 +574,15 @@ def test_search_classifies_only_the_problems_it_solves(random_suite, monkeypatch
     monkeypatch.setattr(
         fds_solver, "solve_restricted", counted("solve", fds_solver.solve_restricted)
     )
+    # stats["solved"] counts the problems the search solved, at every jobs
     for insts in (random_suite, [parse_instance(grid_instance_doc(4, 10, 12))]):
-        calls.update(classify=0, solve=0)
-        for inst in insts:
-            solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=1)
-        assert calls["classify"] == calls["solve"] > 0
+        for jobs in (1, 4):
+            calls.update(classify=0, solve=0)
+            solved = sum(
+                solve_global(inst, trace_res=SUITE_TRACE_RES, jobs=jobs)[1]["solved"]
+                for inst in insts
+            )
+            assert calls["classify"] == calls["solve"] == solved > 0
 
 
 def test_restricted_problems_rejects_pairs_out_of_range(monkeypatch):
