@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .fds_solver import restricted_problems, solve_global
 from .level_curves import curves_to_csv, trace_level_curve
-from .mixed_distance import BRANCH_A, BRANCH_B, ORIENTATIONS, branch_field
+from .mixed_distance import ORIENTATIONS, branch_field, pair_domain
 from .model import (
     NetworkPoint,
     ProblemInstance,
@@ -26,7 +26,12 @@ from .model import (
     validate_instance,
 )
 from .oracle import evaluate_point_pair, oracle_grid
-from .preprocess import TYPE1, all_pairs_shortest_paths, preprocess_instance
+from .preprocess import (
+    TYPE1,
+    all_pairs_shortest_paths,
+    classify_segment_pair,
+    preprocess_network,
+)
 
 
 class _UsageError(Exception):
@@ -179,7 +184,7 @@ def _cmd_preprocess(args) -> int:
     inst = _load_checked(args.instance)
     if inst is None:
         return 1
-    prep = preprocess_instance(inst)
+    prep = preprocess_network(inst.network)
     problems = restricted_problems(inst, prep)
     seg_index = {seg: k for k, seg in enumerate(prep.segments)}
     doc = {
@@ -225,7 +230,7 @@ def _cmd_curves(args) -> int:
     except ValueError:
         print(f"error: bad --segments selector {args.segments!r}", file=sys.stderr)
         return 1
-    prep = preprocess_instance(inst)
+    prep = preprocess_network(inst.network)
     segments = prep.segments
     if not (0 <= sp < len(segments) and 0 <= sq < len(segments)):
         print(
@@ -254,16 +259,12 @@ def _cmd_curves(args) -> int:
         print("error: --pair selector matches no O/D pair", file=sys.stderr)
         return 1
 
-    from .preprocess import classify_segment_pair
-    from .mixed_distance import pair_domain
-
     pc = classify_segment_pair(segments[sp], segments[sq], prep.dist, inst.network)
     dom = pair_domain(inst.network, segments[sp], segments[sq], pc)
-    branches = (BRANCH_A, BRANCH_B) if (pc.kind == TYPE1 and not pc.diagonal) else (BRANCH_A,)
     curves = []
     for pair in pairs:
         for orientation in ORIENTATIONS:
-            for branch in branches:
+            for branch in pc.branches:
                 field = branch_field(inst, dom, pair, orientation, branch)
                 curves.append(trace_level_curve(field, pair.acceptance, args.trace_res))
     if args.format == "json":

@@ -7,8 +7,9 @@ orders and leaves coverage unchanged.  A finite candidate set that is
 guaranteed to contain an optimal point of the restricted problem is
 assembled from
 
-* crossings of the two branch boundary curves of each O/D pair (or a
-  representative point per nonempty curve when the branches do not cross),
+* crossings of every two branch boundary curves of each O/D pair and
+  boarding order (or a representative point per nonempty curve when none
+  cross); a problem's branches are its non-dominated route classes,
 * crossings between the boundary curves of every two distinct O/D pairs,
 * the points where every traced curve meets the domain boundary, the four
   rectangle corners and the minimiser of every field whose minimum reaches
@@ -32,16 +33,17 @@ box, two whole edges or two segments (``_box_floors``, the box rule of Big
 Square Small Square).  On a box the network distance is the least of affine
 routes through the edges' ends (and the direct route on one edge), so in each
 slope class the trip length is separable and its floor is two closed-form axis
-floors (``axis_floor``) plus the least route constant; on one interval twice a
-weak-duality relaxation of the direct route ``alpha*|x - y|`` gives the same
-shape, beside the routes through the ends of a whole edge.  The floors
-need no classification and bound the objective over the box (the weight of the
-pairs whose floor reaches the acceptance level).  One best-first search holds
-both levels: an edge pair's problems are bounded only once its own bound can
-still beat or tie the incumbent, and a problem is classified and solved only
-while its bound can.  Inside a problem the floors of its classified forms
-(``field_floors``) skip every field that cannot reach the level.  The answer
-is the one a full sweep returns.
+floors (``axis_floor``) plus the least route constant, read from the table that
+also classifies a problem (``preprocess.route_constants``); on one interval
+twice a weak-duality relaxation of the direct route ``alpha*|x - y|`` gives the
+same shape, beside the routes through the ends of a whole edge.  The floors need
+no classification and bound the objective over the box (the weight of the pairs
+whose floor reaches the acceptance level).  One best-first search holds both
+levels: an edge pair's problems are bounded only once its own bound can still
+beat or tie the incumbent, and a problem is classified and solved only while
+its bound can.  Inside a problem the floors of its classified forms
+(``field_floors``) skip every field that cannot reach the level.  The answer is
+the one a full sweep returns.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ from .level_curves import intersect_curves  # noqa: F401
 # bench/spans.py traces the arc sampler under this name; the solver samples no arc
 from .level_curves import sample_arc as sample_grid  # noqa: F401
 from .mixed_distance import (
-    BRANCH_A,
-    BRANCH_B,
     DEFAULT_COVERAGE_TOL,
     ORIENTATIONS,
     PairDomain,
@@ -99,11 +99,11 @@ from .model import (
     validate_instance,
 )
 from .preprocess import (
-    TYPE1,
     LinearArcSegment,
     Preprocessed,
     classify_segment_pair,
     preprocess_network,
+    route_constants,
 )
 # bench/run.py checks every answer with fds_solver.oracle_grid; the oracle lives
 # in its own module and shares no code with the solver
@@ -312,31 +312,16 @@ def _floor_table(inst: ProblemInstance, segments: Sequence[LinearArcSegment]) ->
 def _route_constants(
     inst: ProblemInstance, prep: Preprocessed, segments: Sequence[LinearArcSegment], p, q
 ) -> np.ndarray:
-    """``alpha`` times the least route constant of every box, per slope class.
+    """``alpha`` times ``route_constants`` of every box ``segments[p[k]]`` ×
+    ``segments[q[k]]``, ``p <= q``.
 
-    Box ``k`` is ``segments[p[k]]`` × ``segments[q[k]]``, ``p <= q``.  A route
-    leaves the first segment's edge through end ``u`` (its length from ``x``
-    has slope +1 in ``x``) or ``w`` (slope -1) and enters the second's the
-    same way, so it is affine with constant ``off_p + D[end_p, end_q] +
-    off_q``, ``off = (start, length - start)``.  On two intervals of one edge
-    the direct route ``y - x``, constant ``start_q - start_p``, joins the
-    class ``(w, u)``.  On one interval twice ``_box_floors`` bounds the direct
-    route ``|x - y|`` apart; the classes hold the routes through the ends on a
-    whole edge of several segments (one longer than the distance between its
-    ends), and ``inf`` on one linear arc segment, where none is shorter.
-    Entry ``[k, i, j]`` holds class ``(i, j)``, 0 for ``u`` and 1 for ``w``.
+    On one interval twice ``_box_floors`` bounds the direct route ``|x - y|``
+    apart; the classes hold the routes through the ends on a whole edge of
+    several segments (one longer than the distance between its ends), and
+    ``inf`` on one linear arc segment, where none is shorter.
     """
 
-    net = inst.network
-    idx = net.vertex_index
-    edge = np.array([seg.edge for seg in segments])
-    start = np.array([seg.start for seg in segments])
-    ends = np.array([(idx[e.u], idx[e.w]) for e in net.edges])[edge]
-    off = np.stack([start, np.array([e.length for e in net.edges])[edge] - start], axis=1)
-    const = off[p][:, :, None] + prep.dist[ends[p][:, :, None], ends[q][:, None, :]]
-    const += off[q][:, None, :]
-    one = (edge[p] == edge[q]) & (p != q)
-    const[one, 1, 0] = np.minimum(const[one, 1, 0], start[q[one]] - start[p[one]])
+    const = route_constants(inst.network, prep.dist, segments, p, q)
     linear = p == q
     linear[linear] = [segments[k] in prep.segments_by_edge[segments[k].edge] for k in p[linear]]
     const[linear] = np.inf
@@ -380,11 +365,11 @@ def _box_floors(
 def field_floors(inst: ProblemInstance, rp: RestrictedProblem) -> list[dict[str, np.ndarray]]:
     """Certified floor of every branch field of every pair on one problem.
 
-    One dict per pair, mapping each boarding order to the floors of branches
-    ``a`` and ``b`` over the rectangle; the single field of a type 2 or
-    diagonal problem fills both.  Each form's ``alpha*c0`` stands in its
-    slope class of ``_box_floors`` (``inf`` in the others), whose floor of
-    that class is then the branch field's.
+    One dict per pair, mapping each boarding order to the floors of the
+    problem's branches (``pc.branches``) over the rectangle, one per form.
+    Each form's ``alpha*c0`` stands in its slope class of ``_box_floors``
+    (``inf`` in the others), whose floor of that class is then the branch
+    field's; the diagonal floor stands in every class.
     """
 
     table = _floor_table(inst, [rp.seg_p, rp.seg_q])
@@ -393,9 +378,7 @@ def field_floors(inst: ProblemInstance, rp: RestrictedProblem) -> list[dict[str,
     slots = [((1 - form.cx) // 2, (1 - form.cy) // 2) for form in pc.forms] or [(0, 0)]
     for form, (kx, ky) in zip(pc.forms, slots):
         const[0, kx, ky] = inst.alpha * form.c0
-    # the slots of branches a and b: one form fills both, and so does the
-    # diagonal floor, which stands in every slot
-    kx, ky = np.array((slots * 2)[:2]).T
+    kx, ky = np.array(slots).T
     floors = _box_floors(inst, table, np.array([0]), np.array([1]), const, np.array([pc.diagonal]))
     return [{o: f[0, k, kx, ky] for k, o in enumerate(ORIENTATIONS)} for f in floors]
 
@@ -451,13 +434,10 @@ def _trace_pair(
     the minimum is below it.
     """
 
-    pc = rp.domain.pair_class
     level = pair.acceptance
-    branches = (BRANCH_A, BRANCH_B) if (pc.kind == TYPE1 and not pc.diagonal) else (BRANCH_A,)
-
     out = _PairCurves({}, [], [])
     for orientation in ORIENTATIONS:
-        for k, branch in enumerate(branches):
+        for k, branch in enumerate(rp.domain.pair_class.branches):
             if _exceeds(floors[orientation][k], level + 1e-12, scale):
                 continue
             field = branch_field(inst, rp.domain, pair, orientation, branch)
@@ -479,41 +459,37 @@ def _trace_pair(
 
 def _branch_pairs(
     rp: RestrictedProblem, curves: Mapping[tuple[str, str], LevelCurve]
-) -> dict[str, tuple[LevelCurve, LevelCurve]]:
-    """The two branch curves of every boarding order that has both, on a
-    type-1 problem: the curve pairs ``pair_candidates`` intersects."""
+) -> dict[tuple[str, str, str], tuple[LevelCurve, LevelCurve]]:
+    """Every two branch curves of one boarding order, keyed ``(orientation,
+    branch, branch)``: the curve pairs ``pair_candidates`` intersects."""
 
-    pc = rp.domain.pair_class
-    if pc.kind != TYPE1 or pc.diagonal:
-        return {}
     return {
-        o: (curves[(o, BRANCH_A)], curves[(o, BRANCH_B)])
+        (o, b1, b2): (curves[(o, b1)], curves[(o, b2)])
         for o in ORIENTATIONS
-        if (o, BRANCH_A) in curves and (o, BRANCH_B) in curves
+        for b1, b2 in itertools.combinations(rp.domain.pair_class.branches, 2)
+        if (o, b1) in curves and (o, b2) in curves
     }
 
 
 def _pair_points(
     rp: RestrictedProblem,
     curves: Mapping[tuple[str, str], LevelCurve],
-    hits: Mapping[str, IntersectionSet],
+    hits: Mapping[tuple[str, str, str], IntersectionSet],
 ) -> tuple[list[tuple[float, float]], dict[str, int]]:
     """``pair_candidates`` given the crossings ``hits`` of ``_branch_pairs``."""
 
-    pc = rp.domain.pair_class
-    branches = (BRANCH_A, BRANCH_B) if (pc.kind == TYPE1 and not pc.diagonal) else (BRANCH_A,)
     points: list[tuple[float, float]] = []
     stats = {"intersections": 0, "max_curve_pair": 0, "bound_exceeded": 0}
     for orientation in ORIENTATIONS:
-        found = hits.get(orientation)
-        if found is not None:
+        crossings = [found for key, found in hits.items() if key[0] == orientation]
+        for found in crossings:
             stats["intersections"] += len(found)
             stats["max_curve_pair"] = max(stats["max_curve_pair"], len(found))
             stats["bound_exceeded"] += bool(found.bound_exceeded)
-            if found.points:
-                points.extend((p.x, p.y) for p in found.points)
-                continue
-        for branch in branches:
+            points.extend((p.x, p.y) for p in found.points)
+        if any(found.points for found in crossings):
+            continue
+        for branch in rp.domain.pair_class.branches:
             curve = curves.get((orientation, branch))
             if curve is not None and not curve.empty:
                 arc = curve.arcs[0]
@@ -528,9 +504,9 @@ def pair_candidates(
 ) -> tuple[list[tuple[float, float]], dict[str, int]]:
     """Candidate points contributed by one O/D pair's own curves.
 
-    Per boarding order: the crossings of the two branch curves when they
-    cross, otherwise the start of each nonempty curve's first arc.  Type 2
-    pairs have a single curve per orientation and contribute one arbitrary
+    Per boarding order: the crossings of every two branch curves when any
+    two cross, otherwise the start of each nonempty curve's first arc.  Type
+    2 pairs have a single curve per orientation and contribute one arbitrary
     point from it.  An orientation with no curve contributes nothing.
     """
 
@@ -637,7 +613,7 @@ def solve_restricted(
 
     candidates: list[Candidate] = []
     for pi, pairs in enumerate(own):
-        points, stats = _pair_points(rp, bundles[pi].curves, {o: next(hits) for o in pairs})
+        points, stats = _pair_points(rp, bundles[pi].curves, {key: next(hits) for key in pairs})
         counters["intersections"] += stats["intersections"]
         counters["max_curve_pair_intersections"] = max(
             counters["max_curve_pair_intersections"], stats["max_curve_pair"]

@@ -11,31 +11,32 @@ better of the two orientations does not exceed its acceptance level.  All
 evaluators below work in segment-local coordinates ``(x, y)`` and accept
 scalars or numpy arrays.
 
-For one branch routing of one pair and boarding order the length is
-separable, ``u(x) + v(y) + alpha*c0`` (``SeparableField``): the planar legs
-each depend on one coordinate, and the branch form is affine with ``cx, cy``
-in {±1}.  Each axis term ``u(t) = |F - P(t)| + c*t`` (``Axis``) is convex,
-with a closed-form minimiser and inverse.  On a same-segment (diagonal) pair
-the network term ``alpha*|x - y|`` is ``alpha*(y - x)`` on the triangle
-``x <= y``, where that field is defined: swapping ``x`` and ``y`` swaps the
-boarding orders, so coverage is symmetric and the triangle suffices.
+The network distance on a segment pair is the least of its forms, the
+non-dominated route classes (``preprocess.classify_segment_pair``), and each
+form is one branch routing.  For one branch routing of one pair and boarding
+order the length is separable, ``u(x) + v(y) + alpha*c0``
+(``SeparableField``): the planar legs each depend on one coordinate, and the
+branch form is affine with ``cx, cy`` in {±1}.  Each axis term
+``u(t) = |F - P(t)| + c*t`` (``Axis``) is convex, with a closed-form
+minimiser and inverse.  On a same-segment (diagonal) pair the network term
+``alpha*|x - y|`` is ``alpha*(y - x)`` on the triangle ``x <= y``, where that
+field is defined: swapping ``x`` and ``y`` swaps the boarding orders, so
+coverage is symmetric and the triangle suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .model import Network, ODPair, ProblemInstance
-from .preprocess import TYPE1, LinearArcSegment, PairClass
+from .preprocess import LinearArcSegment, PairClass
 
 ORIENT_12 = "12"
 ORIENT_21 = "21"
 ORIENTATIONS = (ORIENT_12, ORIENT_21)
-BRANCH_A = "a"
-BRANCH_B = "b"
 
 #: default slack of the coverage test; candidate points sit exactly on
 #: boundary curves where the trip length equals the acceptance level, and the
@@ -121,16 +122,14 @@ def _check_domain(pc: PairClass, x, y) -> tuple[np.ndarray, np.ndarray]:
 def network_distance(pc: PairClass, x, y):
     """Shortest network distance between the two segment points.
 
-    The minimum of the branch forms for type 1, the single form's value for
-    type 2.  Raises ``ValueError`` outside the parameter rectangle.
+    The least of the forms, ``|x - y|`` on a diagonal pair.  Raises
+    ``ValueError`` outside the parameter rectangle.
     """
 
     x, y = _check_domain(pc, x, y)
     if pc.diagonal:
         return np.abs(x - y)
-    if pc.kind == TYPE1:
-        return np.minimum(pc.forms[0](x, y), pc.forms[1](x, y))
-    return pc.forms[0](x, y)
+    return reduce(np.minimum, (form(x, y) for form in pc.forms))
 
 
 def _euclid(ax, ay, bx, by):
@@ -359,13 +358,14 @@ class SeparableField:
 def branch_field(
     inst: ProblemInstance, dom: PairDomain, pair: ODPair, orientation: str, branch: str
 ) -> SeparableField:
-    """Field for one branch routing of one pair and boarding order."""
+    """Field for one branch routing (one of ``pc.branches``) of one pair and
+    boarding order."""
 
     pc = dom.pair_class
     if pc.diagonal:
         c0, cx, cy = 0.0, -1, 1  # alpha*(y - x) on the triangle x <= y
     else:
-        form = pc.forms[1] if (pc.kind == TYPE1 and branch == BRANCH_B) else pc.forms[0]
+        form = pc.forms[pc.branches.index(branch)]
         c0, cx, cy = form.c0, form.cx, form.cy
     a = inst.facility_position(pair.origin)
     b = inst.facility_position(pair.dest)

@@ -4,10 +4,12 @@ The solver decomposes each edge at its interior *bottleneck points*, the
 points where the two routes towards some vertex tie.  Between consecutive
 bottleneck points every vertex-to-point distance is affine in the arc length,
 so the network distance restricted to a pair of such *linear arc segments*
-collapses to the minimum of at most two affine forms.  This module computes
-the vertex distance matrix, the per-edge bottleneck partition and, for any
-two segments, the concave/linear/convex classification together with the
-explicit affine forms.
+is the minimum of affine forms, one per route through the edges' ends (and
+the direct route on one edge).  This module computes the vertex distance
+matrix, the per-edge bottleneck partition, the route constants of any boxes
+(``route_constants``, which the solver's floors read too) and, for any two
+segments, the non-dominated route classes as explicit affine forms: two
+forms on a concave pair, one on a linear pair, none on a segment with itself.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Network, ProblemInstance
+from .model import Network
 
 #: interior points closer than this merge into one partition point
 MERGE_TOL = 1e-9
 
-#: slack used when testing interval containment for the concave case
-CLASSIFY_TOL = 1e-9
+#: relative rounding allowance of the dominance test between route classes
+_ROUTE_ROUNDING = 64.0 * float(np.finfo(float).eps)
+
+#: the slope classes (out of the first edge, into the second), 0 for ``u``
+_CLASSES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -188,17 +193,27 @@ class AffineForm:
 class PairClass:
     """Distance structure of one segment pair.
 
-    ``type1`` pairs have a concave network distance equal to the minimum of
-    two affine forms; ``type2`` pairs have a single affine form, or the convex
-    form |x - y| when both arguments are the same segment (``diagonal``).
-    Local coordinates run over [0, len_p] x [0, len_q].
+    ``forms`` are the non-dominated route classes: the network distance is
+    their minimum, concave for more than one form (``type1``) and affine for
+    one (``type2``).  A pair of one segment twice (``diagonal``) has no forms
+    and the convex distance |x - y|.  Local coordinates run over [0, len_p] x
+    [0, len_q].
     """
 
-    kind: str
     forms: tuple[AffineForm, ...]
     diagonal: bool
     len_p: float
     len_q: float
+
+    @property
+    def kind(self) -> str:
+        return TYPE1 if len(self.forms) > 1 else TYPE2
+
+    @property
+    def branches(self) -> str:
+        """One branch name per form, ``"a"`` for a diagonal pair."""
+
+        return "abcd"[: max(len(self.forms), 1)]
 
     @property
     def rect(self) -> tuple[float, float]:
@@ -213,29 +228,42 @@ def _same_interval(a: LinearArcSegment, b: LinearArcSegment) -> bool:
     )
 
 
-def _contained(seg: LinearArcSegment, lo: float, hi: float, tol: float) -> bool:
-    return lo - tol <= seg.start and seg.end <= hi + tol
+def route_constants(
+    net: Network, dist: np.ndarray, segments: Sequence[LinearArcSegment], p, q
+) -> np.ndarray:
+    """Least route constant of every box, per slope class.
 
-
-def _vertex_form_on_segment(
-    net: Network, dist: np.ndarray, vertex_idx: int, seg: LinearArcSegment
-) -> tuple[float, int]:
-    """Affine piece (c0, cy) of the vertex-to-point distance on one segment.
-
-    On a linear arc segment the distance from any vertex is affine; the active
-    route (via the edge's first or second vertex) is decided at the segment
-    midpoint, where it is strict except for degenerate ties.
+    Box ``k`` is ``segments[p[k]]`` × ``segments[q[k]]``.  A route leaves the
+    first segment's edge through end ``u`` (its length from ``x`` has slope
+    +1 in ``x``) or ``w`` (slope -1) and enters the second's the same way, so
+    it is affine in the local coordinates.  Through end ``i`` of the first
+    edge its constant is ``off_p[i] + (D[i, u_q] + start_q)`` into ``u`` and
+    ``off_p[i] + ((D[i, w_q] + L_q) - start_q)`` into ``w``, with ``off_p =
+    (start_p, L_p - start_p)``.  On two intervals of one edge the direct
+    route joins the class of its slopes: ``y - x``, constant ``start_q -
+    start_p``, in class ``(w, u)`` when the first starts first, ``x - y`` in
+    class ``(u, w)`` otherwise.  Entry ``[k, i, j]`` holds class ``(i, j)``, 0
+    for ``u`` and 1 for ``w``.
     """
 
-    e = net.edges[seg.edge]
     idx = net.vertex_index
-    u, w = idx[e.u], idx[e.w]
-    mid = seg.start + 0.5 * seg.length
-    via_u = dist[vertex_idx, u] + mid
-    via_w = dist[vertex_idx, w] + e.length - mid
-    if via_u <= via_w:
-        return dist[vertex_idx, u] + seg.start, +1
-    return dist[vertex_idx, w] + e.length - seg.start, -1
+    edges = [net.edges[seg.edge] for seg in segments]
+    edge = np.array([seg.edge for seg in segments])
+    start = np.array([seg.start for seg in segments])
+    length = np.array([e.length for e in edges])
+    ends = np.array([(idx[e.u], idx[e.w]) for e in edges])
+    via = dist[ends[p][:, :, None], ends[q][:, None, :]]
+    off_p = np.stack([start, length - start], axis=1)[p]
+    start_q, length_q = start[q][:, None], length[q][:, None]
+    const = np.empty_like(via)
+    const[:, :, 0] = off_p + (via[:, :, 0] + start_q)
+    const[:, :, 1] = off_p + ((via[:, :, 1] + length_q) - start_q)
+    one = (edge[p] == edge[q]) & (p != q)
+    first = one & (start[p] <= start[q])
+    later = one & ~first
+    const[first, 1, 0] = np.minimum(const[first, 1, 0], start[q[first]] - start[p[first]])
+    const[later, 0, 1] = np.minimum(const[later, 0, 1], start[p[later]] - start[q[later]])
+    return const
 
 
 def classify_segment_pair(
@@ -244,115 +272,41 @@ def classify_segment_pair(
     dist: np.ndarray,
     net: Network,
 ) -> PairClass:
-    """Classify a segment pair and derive its explicit distance forms.
+    """The non-dominated route classes of a segment pair, as affine forms.
 
-    The concave (type 1) cases are exactly the mutually antipodal pairs on
-    different edges and, on one edge, pairs lying in the two outer cells of
-    the partition induced by the endpoints' antipodal points.  Containment is
-    tested with ``CLASSIFY_TOL`` slack, so segments touching the antipodal
-    span boundary still classify as type 1 (the min is then degenerate but
-    every downstream formula stays correct).  The classification tag is
-    symmetric in the two arguments.
+    The classes are those of ``route_constants``.  The difference of two
+    classes is affine, so a class lies on or above another over the whole
+    rectangle when it does at the four corners; such a class is dropped,
+    within ``_ROUTE_ROUNDING`` times the largest corner value, and of two
+    equal classes the earlier stays.  The forms leave through the first
+    edge's ``u`` first and, on one edge, the direct route comes first.  The
+    least of the forms is the exact network distance on any rectangle.
     """
 
     if _same_interval(seg_p, seg_q):
-        return PairClass(TYPE2, (), True, seg_p.length, seg_q.length)
+        return PairClass((), True, seg_p.length, seg_q.length)
 
+    const = route_constants(net, dist, (seg_p, seg_q), np.array([0]), np.array([1]))[0].tolist()
+    order = list(_CLASSES)
     if seg_p.edge == seg_q.edge:
-        return _classify_same_edge(seg_p, seg_q, dist, net)
-    return _classify_different_edges(seg_p, seg_q, dist, net)
-
-
-def _classify_same_edge(
-    seg_p: LinearArcSegment,
-    seg_q: LinearArcSegment,
-    dist: np.ndarray,
-    net: Network,
-) -> PairClass:
-    e = net.edges[seg_p.edge]
-    idx = net.vertex_index
-    u, w = idx[e.u], idx[e.w]
-    duw = dist[u, w]
-    # antipodal points of the edge's own endpoints split the edge in at most
-    # three cells; the distance is concave only across the two outer cells
-    far_w = 0.5 * (e.length - duw)
-    far_u = 0.5 * (e.length + duw)
-
-    p_left = _contained(seg_p, 0.0, far_w, CLASSIFY_TOL)
-    p_right = _contained(seg_p, far_u, e.length, CLASSIFY_TOL)
-    q_left = _contained(seg_q, 0.0, far_w, CLASSIFY_TOL)
-    q_right = _contained(seg_q, far_u, e.length, CLASSIFY_TOL)
-
-    if p_left and q_right:
-        inner = AffineForm(seg_q.start - seg_p.start, -1, +1)
-        outer = AffineForm(seg_p.start + duw + e.length - seg_q.start, +1, -1)
-        return PairClass(TYPE1, (inner, outer), False, seg_p.length, seg_q.length)
-    if q_left and p_right:
-        inner = AffineForm(seg_p.start - seg_q.start, +1, -1)
-        outer = AffineForm(seg_q.start + duw + e.length - seg_p.start, -1, +1)
-        return PairClass(TYPE1, (inner, outer), False, seg_p.length, seg_q.length)
-
-    # remaining same-edge pairs: the in-edge route wins everywhere and the
-    # segments have disjoint interiors, so |difference| is affine
-    if seg_p.start <= seg_q.start:
-        form = AffineForm(seg_q.start - seg_p.start, -1, +1)
-    else:
-        form = AffineForm(seg_p.start - seg_q.start, +1, -1)
-    return PairClass(TYPE2, (form,), False, seg_p.length, seg_q.length)
-
-
-def _classify_different_edges(
-    seg_p: LinearArcSegment,
-    seg_q: LinearArcSegment,
-    dist: np.ndarray,
-    net: Network,
-) -> PairClass:
-    ep = net.edges[seg_p.edge]
-    eq = net.edges[seg_q.edge]
-    idx = net.vertex_index
-
-    # route leaving through each endpoint of seg_p's edge; the entry side on
-    # seg_q is fixed over the whole segment
-    c0_a, cy_a = _vertex_form_on_segment(net, dist, idx[ep.u], seg_q)
-    form_a = AffineForm(seg_p.start + c0_a, +1, cy_a)
-    c0_b, cy_b = _vertex_form_on_segment(net, dist, idx[ep.w], seg_q)
-    form_b = AffineForm(ep.length - seg_p.start + c0_b, -1, cy_b)
-
-    # mutually antipodal test: each segment inside the span of the antipodal
-    # points of the other edge's endpoints
-    span_on_p = (
-        bottleneck_candidate(net, dist, seg_p.edge, eq.w),
-        bottleneck_candidate(net, dist, seg_p.edge, eq.u),
-    )
-    span_on_q = (
-        bottleneck_candidate(net, dist, seg_q.edge, ep.w),
-        bottleneck_candidate(net, dist, seg_q.edge, ep.u),
-    )
-    antipodal = (
-        span_on_p[0] <= span_on_p[1] + CLASSIFY_TOL
-        and span_on_q[0] <= span_on_q[1] + CLASSIFY_TOL
-        and _contained(seg_p, span_on_p[0], span_on_p[1], CLASSIFY_TOL)
-        and _contained(seg_q, span_on_q[0], span_on_q[1], CLASSIFY_TOL)
-    )
-    if antipodal:
-        return PairClass(TYPE1, (form_a, form_b), False, seg_p.length, seg_q.length)
-
-    # otherwise one route dominates the other over the whole rectangle;
-    # an affine difference attains its extremes at the corners
-    corners = [
-        (0.0, 0.0),
-        (seg_p.length, 0.0),
-        (0.0, seg_q.length),
-        (seg_p.length, seg_q.length),
+        direct = (1, 0) if seg_p.start <= seg_q.start else (0, 1)
+        order.remove(direct)
+        order.insert(0, direct)
+    forms = [AffineForm(const[i][j], 1 - 2 * i, 1 - 2 * j) for i, j in order]
+    corners = [(x, y) for x in (0.0, seg_p.length) for y in (0.0, seg_q.length)]
+    values = [[form(x, y) for x, y in corners] for form in forms]
+    slack = _ROUTE_ROUNDING * max(abs(v) for row in values for v in row)
+    # above[k][m]: class k lies on or above class m at every corner
+    above = [
+        [k != m and all(a >= b - slack for a, b in zip(vk, vm)) for m, vm in enumerate(values)]
+        for k, vk in enumerate(values)
     ]
-    diffs = [form_b(x, y) - form_a(x, y) for x, y in corners]
-    if min(diffs) >= -CLASSIFY_TOL:
-        return PairClass(TYPE2, (form_a,), False, seg_p.length, seg_q.length)
-    if max(diffs) <= CLASSIFY_TOL:
-        return PairClass(TYPE2, (form_b,), False, seg_p.length, seg_q.length)
-    # numerically ambiguous containment: the minimum of the two forms is
-    # still the exact distance, so fall back to the concave representation
-    return PairClass(TYPE1, (form_a, form_b), False, seg_p.length, seg_q.length)
+    kept = tuple(
+        form
+        for k, form in enumerate(forms)
+        if not any(above[k][m] and (m < k or not above[m][k]) for m in range(len(forms)))
+    )
+    return PairClass(kept, False, seg_p.length, seg_q.length)
 
 
 @dataclass(frozen=True)
@@ -377,7 +331,3 @@ def preprocess_network(net: Network) -> Preprocessed:
         bottlenecks.append(tuple(bp))
         segments.append(tuple(linear_arc_segments(net, edge, bp)))
     return Preprocessed(dist, tuple(bottlenecks), tuple(segments))
-
-
-def preprocess_instance(inst: ProblemInstance) -> Preprocessed:
-    return preprocess_network(inst.network)

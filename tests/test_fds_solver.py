@@ -1,5 +1,8 @@
+import importlib.util
+import inspect
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from tripcover.fds_solver import (
     solve_global,
     solve_restricted,
 )
-from tripcover.level_curves import intersect_curves, trace_level_curve
+from tripcover.level_curves import intersect_curve_pairs, intersect_curves, trace_level_curve
 from tripcover.mixed_distance import (
     DEFAULT_COVERAGE_TOL,
     SegmentGeometry,
@@ -76,13 +79,11 @@ def path_instance(d=5.0):
 
 def trace_all(inst, rp, trace_res=256):
     curves = {}
-    pc = rp.domain.pair_class
-    branches = ("a", "b") if (pc.kind == "type1" and not pc.diagonal) else ("a",)
     by_pair = {}
     for pair in inst.pairs:
         store = {}
         for orientation in ("12", "21"):
-            for branch in branches:
+            for branch in rp.domain.pair_class.branches:
                 field = branch_field(inst, rp.domain, pair, orientation, branch)
                 curve = trace_level_curve(field, pair.acceptance, trace_res)
                 if not curve.empty:
@@ -150,6 +151,67 @@ def test_pair_candidates_type2_single_point():
     x, y = points[0]
     field = branch_field(inst, rp.domain, inst.pairs[0], "12", "a")
     assert abs(float(field(x, y)) - inst.pairs[0].acceptance) < 1e-6
+
+
+def test_problem_with_more_than_two_forms(monkeypatch):
+    # at 1e-10 the absolute MERGE_TOL drops every bottleneck point, so a
+    # segment is a whole edge and more than two route classes survive; every
+    # one of them is a branch
+    inst = parse_instance(transformed_doc(random_instance_doc(104), scale=1e-10))
+    prep = preprocess_network(inst.network)
+    traced = [
+        (rp, trace_all(inst, rp, trace_res=64))
+        for rp in restricted_problems(inst, prep)
+        if len(rp.domain.pair_class.forms) >= 3
+    ]
+    # the problem with the most curves: two of them are branches c and d
+    rp, by_pair = max(traced, key=lambda t: sum(map(len, t[1].values())))
+    branches = rp.domain.pair_class.branches
+    assert len(branches) == len(rp.domain.pair_class.forms)
+
+    for floors in field_floors(inst, rp):
+        assert {o: len(f) for o, f in floors.items()} == {"12": len(branches), "21": len(branches)}
+
+    crossed = []
+
+    def recorded(pairs, refine_tol):
+        crossed.extend(pairs)
+        return intersect_curve_pairs(pairs, refine_tol)
+
+    monkeypatch.setattr(fds_solver, "intersect_curve_pairs", recorded)
+    beyond_b = 0
+    for curves in by_pair.values():
+        crossed.clear()
+        pair_candidates(rp, curves)
+        expected = [
+            (curves[(o, b1)], curves[(o, b2)])
+            for o in ("12", "21")
+            for b1, b2 in itertools.combinations(branches, 2)
+            if (o, b1) in curves and (o, b2) in curves
+        ]
+        assert len(crossed) == len(expected)
+        assert all(a is c and b is d for (a, b), (c, d) in zip(crossed, expected))
+        beyond_b += sum(c.field.branch > "b" and d.field.branch > "b" for c, d in crossed)
+    assert beyond_b > 0
+
+    solve_restricted(inst, rp, trace_res=64)
+    sol, _ = solve_global(inst, trace_res=64)
+    # the solver may fall below the oracle at this scale (the dedupe radius
+    # is absolute), but its answer is what the point pair covers
+    assert evaluate_point_pair(inst, prep.dist, sol.x1, sol.x2)[1] == sol.objective
+
+
+def test_names_the_bench_reads_resolve():
+    # the benchmark wraps these names as bound in fds_solver; a missing one
+    # ends every traced run in AttributeError
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in [*spans.LAYER_OF, "oracle_grid", "restricted_problems"]:
+        assert callable(getattr(fds_solver, name)), name
+    parameters = inspect.signature(fds_solver.solve_global).parameters
+    assert {"trace_res", "jobs"} <= set(parameters)
 
 
 def test_cross_candidates_identical_pairs_rejected():
@@ -744,13 +806,12 @@ def test_field_floors_bound_every_field(seed, transform):
     allowance = rounding_allowance(inst)
     for rp in restricted_problems(inst, preprocess_network(inst.network)):
         pc = rp.domain.pair_class
-        branches = ("a", "b") if (pc.kind == "type1" and not pc.diagonal) else ("a",)
         xs = np.linspace(0.0, rp.rect[0], 33)[:, None]
         ys = np.linspace(0.0, rp.rect[1], 33)[None, :]
         floors = field_floors(inst, rp)
         for pi, pair in enumerate(inst.pairs):
             for orientation in ("12", "21"):
-                for k, branch in enumerate(branches):
+                for k, branch in enumerate(pc.branches):
                     if pc.diagonal:  # both triangles; the field covers x <= y only
                         lengths = path_length(inst, rp.domain, pair, xs, ys, orientation)
                         sampled = float(lengths.min())

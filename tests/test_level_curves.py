@@ -27,13 +27,11 @@ CSV_HEADER = "pair_i,pair_j,orientation,branch,polyline_id,vertex_index,x,y\n"
 def fields_of(inst, rp):
     """Every branch field of every pair on one problem, with its pair."""
 
-    pc = rp.domain.pair_class
-    branches = ("a", "b") if (pc.kind == TYPE1 and not pc.diagonal) else ("a",)
     return [
         (pair, branch_field(inst, rp.domain, pair, orientation, branch))
         for pair in inst.pairs
         for orientation in ("12", "21")
-        for branch in branches
+        for branch in rp.domain.pair_class.branches
     ]
 
 

@@ -19,7 +19,16 @@ from tripcover.preprocess import (
     linear_arc_segments,
     preprocess_network,
 )
-from conftest import enumerated_vertex_distance, insertion_distance
+from conftest import (
+    detour_doc,
+    enumerated_vertex_distance,
+    fig4_doc,
+    grid_instance_doc,
+    insertion_distance,
+    random_instance_doc,
+    transformed_doc,
+    trapezoid_doc,
+)
 
 
 def single_edge_net(length=3.0):
@@ -380,3 +389,34 @@ def test_classification_matches_insertion_distance(case, fx, fy):
                 net, (seg_p.edge, seg_p.start + x), (seg_q.edge, seg_q.start + y)
             )
             assert float(network_distance(pc, x, y)) == pytest.approx(expected, abs=1e-9)
+
+
+def test_forms_are_exact_at_every_scale(random_suite):
+    # every ordered segment pair's least form against an independent
+    # point-to-point shortest path on a 5x5 sample of its box, within 1e-12
+    # of the largest vertex distance; at 1e-8 and 1e-10 an absolute slack in
+    # the classification once dropped forms that were below the others
+    unscaled = list(random_suite) + [
+        parse_instance(doc)
+        for doc in (fig4_doc(), trapezoid_doc(), detour_doc(), grid_instance_doc(3, 8, 30))
+    ]
+    scaled = [
+        parse_instance(transformed_doc(random_instance_doc(104), scale=scale))
+        for scale in (1e6, 1e-8, 1e-10)
+    ]
+    for inst, most in [(inst, 2) for inst in unscaled] + [(inst, 4) for inst in scaled]:
+        net = inst.network
+        prep = preprocess_network(net)
+        allowance = 1e-12 * prep.dist.max()
+        for seg_p, seg_q in itertools.product(prep.segments, repeat=2):
+            pc = classify_segment_pair(seg_p, seg_q, prep.dist, net)
+            # more classes survive only where bottleneck points were merged
+            assert len(pc.forms) <= most
+            xs = np.linspace(0.0, pc.len_p, 5)
+            ys = np.linspace(0.0, pc.len_q, 5)
+            got = network_distance(pc, xs[:, None], ys[None, :])
+            for (i, x), (j, y) in itertools.product(enumerate(xs), enumerate(ys)):
+                expected = insertion_distance(
+                    net, (seg_p.edge, seg_p.start + x), (seg_q.edge, seg_q.start + y)
+                )
+                assert abs(got[i, j] - expected) <= allowance
