@@ -49,7 +49,6 @@ _OPTIONS = {
     "--grid-res": dict(type=int, default=200, help="oracle grid points per axis"),
     "--trace-res": dict(type=int, default=256, help="samples per curve arc"),
     "--cov-tol": dict(type=float, default=1e-9, help="coverage test slack"),
-    "--refine-tol": dict(type=float, default=1e-9, help="crossing bisection tolerance"),
     "--jobs": dict(
         type=int, default=1, help="accepted and checked; every solve runs in this process"
     ),
@@ -74,7 +73,6 @@ def _build_parser() -> _Parser:
         "solve the two-transfer-point problem",
         "--trace-res",
         "--cov-tol",
-        "--refine-tol",
         "--jobs",
     )
     p_solve.add_argument(
@@ -147,7 +145,6 @@ def _cmd_solve(args) -> int:
         inst,
         trace_res=args.trace_res,
         cov_tol=args.cov_tol,
-        refine_tol=args.refine_tol,
         jobs=args.jobs,
     )
     if not args.timing:

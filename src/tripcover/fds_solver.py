@@ -48,7 +48,6 @@ the one a full sweep returns.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import logging
@@ -63,7 +62,6 @@ import numpy as np
 
 from .level_curves import (
     DEFAULT_DEDUPE_RADIUS,
-    DEFAULT_REFINE_TOL,
     DEFAULT_TRACE_RES,
     MIN_TRACE_RES,
     IntersectionPoint,
@@ -158,7 +156,7 @@ def _integer_at_least(value, least: int) -> bool:
     return isinstance(value, numbers.Integral) and value >= least
 
 
-def _check_parameters(trace_res: int, cov_tol: float, refine_tol: float, jobs: int = 1) -> None:
+def _check_parameters(trace_res: int, cov_tol: float, jobs: int = 1) -> None:
     """Raise ``ValueError`` naming the first solver parameter out of range."""
 
     for ok, name, need, value in (
@@ -169,7 +167,6 @@ def _check_parameters(trace_res: int, cov_tol: float, refine_tol: float, jobs: i
             trace_res,
         ),
         (math.isfinite(cov_tol) and cov_tol >= 0, "cov_tol", "finite and >= 0", cov_tol),
-        (math.isfinite(refine_tol) and refine_tol > 0, "refine_tol", "finite and > 0", refine_tol),
         (_integer_at_least(jobs, 1), "jobs", "an integer >= 1", jobs),
     ):
         if not ok:
@@ -498,9 +495,7 @@ def _pair_points(
 
 
 def pair_candidates(
-    rp: RestrictedProblem,
-    curves: Mapping[tuple[str, str], LevelCurve],
-    refine_tol: float = DEFAULT_REFINE_TOL,
+    rp: RestrictedProblem, curves: Mapping[tuple[str, str], LevelCurve]
 ) -> tuple[list[tuple[float, float]], dict[str, int]]:
     """Candidate points contributed by one O/D pair's own curves.
 
@@ -511,12 +506,12 @@ def pair_candidates(
     """
 
     pairs = _branch_pairs(rp, curves)
-    hits = intersect_curve_pairs(list(pairs.values()), refine_tol)
+    hits = intersect_curve_pairs(list(pairs.values()))
     return _pair_points(rp, curves, dict(zip(pairs, hits)))
 
 
 def _cross_points(
-    hits: Sequence[IntersectionSet], dedupe_radius: float = DEFAULT_DEDUPE_RADIUS
+    hits: Sequence[IntersectionSet],
 ) -> tuple[list[IntersectionPoint], dict[str, int]]:
     """``cross_pair_candidates`` given the crossings of every curve combination."""
 
@@ -525,7 +520,7 @@ def _cross_points(
         "bound_exceeded": sum(bool(found.bound_exceeded) for found in hits),
     }
     collected = [p for found in hits for p in found.points]
-    return _dedupe_points(collected, dedupe_radius), stats
+    return _dedupe_points(collected, DEFAULT_DEDUPE_RADIUS), stats
 
 
 def cross_pair_candidates(
@@ -533,8 +528,6 @@ def cross_pair_candidates(
     pair_b: tuple[int, int],
     curves_a: Mapping[tuple[str, str], LevelCurve],
     curves_b: Mapping[tuple[str, str], LevelCurve],
-    refine_tol: float = DEFAULT_REFINE_TOL,
-    dedupe_radius: float = DEFAULT_DEDUPE_RADIUS,
 ) -> tuple[list[IntersectionPoint], dict[str, int]]:
     """Crossings between the boundary curves of two distinct O/D pairs.
 
@@ -545,14 +538,10 @@ def cross_pair_candidates(
     if pair_a == pair_b:
         raise ValueError(f"cross candidates need two different O/D pairs, got {pair_a} twice")
     combos = list(itertools.product(curves_a.values(), curves_b.values()))
-    return _cross_points(intersect_curve_pairs(combos, refine_tol), dedupe_radius)
+    return _cross_points(intersect_curve_pairs(combos))
 
 
-def _fallback_point(
-    rect: tuple[float, float],
-    taken: Sequence[Candidate],
-    radius: float = DEFAULT_DEDUPE_RADIUS,
-) -> tuple[float, float]:
+def _fallback_point(rect: tuple[float, float], taken: Sequence[Candidate]) -> tuple[float, float]:
     """Rectangle centre, nudged diagonally until distinct from all candidates."""
 
     w, h = rect
@@ -563,7 +552,7 @@ def _fallback_point(
         if x > w or y < 0:
             x = max(w / 2 - k * delta, 0.0)
             y = min(h / 2 + k * delta, h)
-        if all(math.hypot(x - c.x, y - c.y) > radius for c in taken):
+        if all(math.hypot(x - c.x, y - c.y) > DEFAULT_DEDUPE_RADIUS for c in taken):
             return (x, y)
     return (w / 2, h / 2)
 
@@ -574,7 +563,6 @@ def solve_restricted(
     *,
     trace_res: int = DEFAULT_TRACE_RES,
     cov_tol: float = DEFAULT_COVERAGE_TOL,
-    refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> FdsSolution:
     """Assemble the candidate set of one restricted problem and pick its best.
 
@@ -584,7 +572,7 @@ def solve_restricted(
     the parameters ``solve_global`` rejects.
     """
 
-    _check_parameters(trace_res, cov_tol, refine_tol)
+    _check_parameters(trace_res, cov_tol)
     counters = {
         "curves": 0,
         "intersections": 0,
@@ -593,27 +581,27 @@ def solve_restricted(
     }
     floors = field_floors(inst, rp)
     scale = _rounding_scale(inst)
-    bundles: dict[int, _PairCurves] = {}
-    for pi, pair in enumerate(inst.pairs):
-        bundle = _trace_pair(inst, rp, pair, floors[pi], scale, trace_res)
-        bundles[pi] = bundle
-        counters["curves"] += len(bundle.curves)
+    bundles = [
+        _trace_pair(inst, rp, pair, floor, scale, trace_res)
+        for pair, floor in zip(inst.pairs, floors)
+    ]
+    counters["curves"] = sum(len(bundle.curves) for bundle in bundles)
 
-    # every curve pair of every O/D pair and of every two O/D pairs, crossed
-    # in one batch and split back in the same order
-    own = [_branch_pairs(rp, bundles[pi].curves) for pi in range(len(inst.pairs))]
+    # every curve pair of every O/D pair and of every two O/D pairs with
+    # curves, crossed in one batch and split back in the same order
+    own = [_branch_pairs(rp, bundle.curves) for bundle in bundles]
+    curved = [bundle.curves for bundle in bundles if bundle.curves]
     crossed = [
-        list(itertools.product(bundles[pi].curves.values(), bundles[pj].curves.values()))
-        for pi, pj in itertools.combinations(range(len(inst.pairs)), 2)
-        if bundles[pi].curves and bundles[pj].curves
+        list(itertools.product(a.values(), b.values()))
+        for a, b in itertools.combinations(curved, 2)
     ]
     batch = [cp for pairs in own for cp in pairs.values()]
     batch += [cp for combos in crossed for cp in combos]
-    hits = iter(intersect_curve_pairs(batch, refine_tol))
+    hits = iter(intersect_curve_pairs(batch))
 
     candidates: list[Candidate] = []
-    for pi, pairs in enumerate(own):
-        points, stats = _pair_points(rp, bundles[pi].curves, {key: next(hits) for key in pairs})
+    for bundle, pairs in zip(bundles, own):
+        points, stats = _pair_points(rp, bundle.curves, {key: next(hits) for key in pairs})
         counters["intersections"] += stats["intersections"]
         counters["max_curve_pair_intersections"] = max(
             counters["max_curve_pair_intersections"], stats["max_curve_pair"]
@@ -631,7 +619,7 @@ def solve_restricted(
         candidates.extend(Candidate(p.x, p.y, PROV_CROSS_CURVES) for p in points)
 
     w, h = rp.rect
-    for bundle in bundles.values():
+    for bundle in bundles:
         for x, y in bundle.minimizers:
             candidates.append(Candidate(x, y, PROV_AUGMENT))
         for x, y in bundle.boundary:
@@ -779,6 +767,7 @@ class _Search:
     """What the branch-and-bound bounded and solved."""
 
     best: FdsSolution | None
+    problem: RestrictedProblem | None  # the winner's
     solved: list[FdsSolution]
     bounded: int  # problems bounded
     edge_pairs: int  # edge pairs expanded
@@ -808,7 +797,7 @@ def _best_first(inst: ProblemInstance, prep: Preprocessed, cov_tol: float, param
     ]
     heapq.heapify(heap)
     member_bounds = _box_bounder(inst, prep, prep.segments, cov_tol)
-    out = _Search(None, [], 0, 0)
+    out = _Search(None, None, [], 0, 0)
 
     while heap and _may_win(-heap[0][0], heap[0][1], out.best):
         negated, _, pair, is_problem = heapq.heappop(heap)
@@ -817,7 +806,7 @@ def _best_first(inst: ProblemInstance, prep: Preprocessed, cov_tol: float, param
             sol = solve_restricted(inst, rp, **params)
             out.solved.append(sol)
             if out.best is None or _rank(sol) < _rank(out.best):
-                out.best = sol
+                out.best, out.problem = sol, rp
             continue
         a, b = _members(prep, *pair)
         out.edge_pairs += 1
@@ -833,7 +822,6 @@ def solve_global(
     *,
     trace_res: int = DEFAULT_TRACE_RES,
     cov_tol: float = DEFAULT_COVERAGE_TOL,
-    refine_tol: float = DEFAULT_REFINE_TOL,
     jobs: int = 1,
 ) -> tuple[Solution, dict]:
     """Solve the full problem by branch-and-bound over the restricted problems.
@@ -857,19 +845,18 @@ def solve_global(
     bounded or not.
 
     Raises ``ValueError``, before any work, unless ``trace_res`` is an
-    integer ``>= 16``, ``cov_tol`` is finite and nonnegative, ``refine_tol``
-    is finite and positive and ``jobs`` is an integer ``>= 1``, or when the
-    instance fails validation.
+    integer ``>= 16``, ``cov_tol`` is finite and nonnegative and ``jobs`` is
+    an integer ``>= 1``, or when the instance fails validation.
     """
 
     started = time.perf_counter()
-    _check_parameters(trace_res, cov_tol, refine_tol, jobs)
+    _check_parameters(trace_res, cov_tol, jobs)
     report = validate_instance(inst)
     if not report.is_valid:
         raise ValueError(f"invalid instance:\n{report}")
 
     prep = preprocess_network(inst.network)
-    params = dict(trace_res=trace_res, cov_tol=cov_tol, refine_tol=refine_tol)
+    params = dict(trace_res=trace_res, cov_tol=cov_tol)
     found = _best_first(inst, prep, cov_tol, params)
     best, solved = found.best, found.solved
     n = len(prep.segments)
@@ -881,9 +868,7 @@ def solve_global(
         found.bounded,
         found.edge_pairs,
     )
-    # the winner's segment pair, its index read back through _rp_index
-    a = bisect.bisect_right(range(n), best.rp_index, key=lambda a: _rp_index(n, a, a)) - 1
-    seg_p, seg_q = prep.segments[a], prep.segments[best.rp_index - _rp_index(n, a, a) + a]
+    seg_p, seg_q = found.problem.seg_p, found.problem.seg_q
     x1 = network_point(inst.network, seg_p.edge, seg_p.start + best.best[0])
     x2 = network_point(inst.network, seg_q.edge, seg_q.start + best.best[1])
     solution = Solution(x1, x2, best.objective, best.covered)

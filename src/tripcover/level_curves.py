@@ -29,6 +29,7 @@ import numpy as np
 from .mixed_distance import Axis, SeparableField
 
 DEFAULT_TRACE_RES = 256
+# the crossing search's bisection tolerance and merge radius, in arc length
 DEFAULT_REFINE_TOL = 1e-9
 DEFAULT_DEDUPE_RADIUS = 1e-7
 MIN_TRACE_RES = 16
@@ -269,26 +270,21 @@ def _dedupe_points(
     return reps
 
 
-def intersect_curve_pairs(
-    pairs: Sequence[tuple[LevelCurve, LevelCurve]],
-    refine_tol: float = DEFAULT_REFINE_TOL,
-    *,
-    dedupe_radius: float = DEFAULT_DEDUPE_RADIUS,
-    bound: int = CURVE_PAIR_CROSSING_BOUND,
-) -> list[IntersectionSet]:
+def intersect_curve_pairs(pairs: Sequence[tuple[LevelCurve, LevelCurve]]) -> list[IntersectionSet]:
     """The crossing points of each pair of curves, all found together.
 
     For every two arcs of a pair whose x-ranges overlap, ``y1(x) - y2(x)``
     is sampled at ``res + 1`` points of the overlap, ``res`` the finer
     curve's, and each sign change is bisected until the x-bracket and the
-    gap at its midpoint are both within ``refine_tol``; the crossing is that
-    midpoint, at the mean of the two ordinates.  A point is ``refined`` when
-    its bisection got there.  The overlapping arcs of all pairs are sampled
-    together, a bounded number of samples per array, and every bracket is
-    bisected in one loop, each stopping on its own, so a pair's crossings
-    are the same numbers whatever else is in the batch.  Points of one pair within
-    ``dedupe_radius`` are merged.  Raises ``ValueError`` when the two curves
-    of a pair live on different rectangles.
+    gap at its midpoint are both within ``DEFAULT_REFINE_TOL``; the crossing
+    is that midpoint, at the mean of the two ordinates.  A point is
+    ``refined`` when its bisection got there.  The overlapping arcs of all
+    pairs are sampled together, a bounded number of samples per array, and
+    every bracket is bisected in one loop, each stopping on its own, so a
+    pair's crossings are the same numbers whatever else is in the batch.
+    Points of one pair within ``DEFAULT_DEDUPE_RADIUS`` are merged, and more than
+    ``CURVE_PAIR_CROSSING_BOUND`` left set ``bound_exceeded``.  Raises
+    ``ValueError`` when the two curves of a pair live on different rectangles.
     """
 
     if any(c1.field.rect != c2.field.rect for c1, c2 in pairs):
@@ -341,7 +337,7 @@ def intersect_curve_pairs(
             y1, y2 = np.split(stacked(np.concatenate([x, x])), 2)
             return y1 - y2
 
-        a, b = _bisect(gap, a, b, refine_tol)
+        a, b = _bisect(gap, a, b, DEFAULT_REFINE_TOL)
         x = 0.5 * (a + b)
         x2 = np.concatenate([x, x])
         y1, y2 = np.split(stacked(x2), 2)
@@ -349,33 +345,24 @@ def intersect_curve_pairs(
         k0, level = field_terms[ends].T
         off = np.abs(stacked.u(x2) + stacked.v(np.concatenate([y, y])) + k0 - level)
         residual = np.maximum(*np.split(off, 2))
-        refined = (b - a <= refine_tol) & (np.abs(y1 - y2) <= refine_tol)
+        refined = (b - a <= DEFAULT_REFINE_TOL) & (np.abs(y1 - y2) <= DEFAULT_REFINE_TOL)
         for n, px, py, err, ok in zip(
             owner[combo].tolist(), x.tolist(), y.tolist(), residual.tolist(), refined.tolist()
         ):
             found[n].append(IntersectionPoint(px, py, err, ok))
     sets = []
     for points in found:
-        points = _dedupe_points(points, dedupe_radius)
-        sets.append(IntersectionSet(points, bound_exceeded=len(points) > bound))
+        points = _dedupe_points(points, DEFAULT_DEDUPE_RADIUS)
+        sets.append(IntersectionSet(points, bound_exceeded=len(points) > CURVE_PAIR_CROSSING_BOUND))
     return sets
 
 
-def intersect_curves(
-    curve1: LevelCurve,
-    curve2: LevelCurve,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-    *,
-    dedupe_radius: float = DEFAULT_DEDUPE_RADIUS,
-    bound: int = CURVE_PAIR_CROSSING_BOUND,
-) -> IntersectionSet:
+def intersect_curves(curve1: LevelCurve, curve2: LevelCurve) -> IntersectionSet:
     """All crossing points of two curves over the same domain: the one-pair
     call of ``intersect_curve_pairs``, which describes the search.  Raises
     ``ValueError`` when the curves live on different rectangles."""
 
-    (hits,) = intersect_curve_pairs(
-        [(curve1, curve2)], refine_tol, dedupe_radius=dedupe_radius, bound=bound
-    )
+    (hits,) = intersect_curve_pairs([(curve1, curve2)])
     return hits
 
 

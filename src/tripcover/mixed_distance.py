@@ -9,7 +9,10 @@ when it boards at ``X1`` (orientation ``"12"``), or the analogous expression
 boarding at ``X2`` (orientation ``"21"``).  The pair is covered when the
 better of the two orientations does not exceed its acceptance level.  All
 evaluators below work in segment-local coordinates ``(x, y)`` and accept
-scalars or numpy arrays.
+scalars or numpy arrays.  ``alpha * d`` does not depend on the pair, so every
+coverage test reads one evaluation per point (``_legs``): that term, and the
+distances from every facility to X1 and to X2, from which ``coverage_mask``
+assembles each pair's two boarding orders.
 
 The network distance on a segment pair is the least of its forms, the
 non-dominated route classes (``preprocess.classify_segment_pair``), and each
@@ -132,85 +135,68 @@ def network_distance(pc: PairClass, x, y):
     return reduce(np.minimum, (form(x, y) for form in pc.forms))
 
 
-def _euclid(ax, ay, bx, by):
-    return np.hypot(ax - bx, ay - by)
+def _legs(inst: ProblemInstance, dom: PairDomain, x, y):
+    """``(alpha * d, Lp, Lq)`` at the points ``(x, y)``: the network term, its
+    domain checked once, and ``Lp[f]``, ``Lq[f]``, the ``np.hypot`` distances
+    from facility ``f`` to X1 and to X2, facility axis first."""
+
+    ad = inst.alpha * network_distance(dom.pair_class, x, y)
+    pos = np.array([(f.position.x, f.position.y) for f in inst.facilities])
+    fx, fy = pos.reshape((-1, 2) + (1,) * np.ndim(ad)).swapaxes(0, 1)
+    (px, py), (qx, qy) = dom.geom_p.position(x), dom.geom_q.position(y)
+    return ad, np.hypot(fx - px, fy - py), np.hypot(fx - qx, fy - qy)
 
 
-def path_length(
-    inst: ProblemInstance,
-    dom: PairDomain,
-    pair: ODPair,
-    x,
-    y,
-    orientation: str,
-):
+def path_length(inst: ProblemInstance, dom: PairDomain, pair: ODPair, x, y, orientation: str):
     """Length of the trip boarding at X1 (``"12"``) or at X2 (``"21"``).
 
     The network distance is symmetric, so the orientation only swaps which
     transfer point plays access and exit for the planar legs.
     """
 
-    d = network_distance(dom.pair_class, x, y)
-    px, py = dom.geom_p.position(np.asarray(x, dtype=float))
-    qx, qy = dom.geom_q.position(np.asarray(y, dtype=float))
-    a = inst.facility_position(pair.origin)
-    b = inst.facility_position(pair.dest)
+    ad, lp, lq = _legs(inst, dom, x, y)
+    o, t = inst.facility_index[pair.origin], inst.facility_index[pair.dest]
     if orientation == ORIENT_12:
-        return _euclid(a.x, a.y, px, py) + inst.alpha * d + _euclid(qx, qy, b.x, b.y)
+        return (lp[o] + ad) + lq[t]
     if orientation == ORIENT_21:
-        return _euclid(a.x, a.y, qx, qy) + inst.alpha * d + _euclid(px, py, b.x, b.y)
+        return (lq[o] + ad) + lp[t]
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def trip_length(inst: ProblemInstance, dom: PairDomain, pair: ODPair, x, y):
-    """Best mixed trip length over both boarding orders (symmetric in roles)."""
-
-    return np.minimum(
-        path_length(inst, dom, pair, x, y, ORIENT_12),
-        path_length(inst, dom, pair, x, y, ORIENT_21),
-    )
-
-
-def coverage_and_objective(
-    inst: ProblemInstance,
-    dom: PairDomain,
-    x: float,
-    y: float,
-    tol: float = DEFAULT_COVERAGE_TOL,
-) -> tuple[list[tuple[int, int]], float]:
-    """Covered pair list and trip-weight sum at a single point.
-
-    A pair counts as covered when its best trip length is at most the
-    acceptance level plus ``tol``.
-    """
+def coverage_mask(inst: ProblemInstance, dom: PairDomain, x, y, tol: float = DEFAULT_COVERAGE_TOL):
+    """Whether each pair is covered at each point, shape ``(pairs, *shape)``:
+    its better boarding order, ``min((Lp[o] + alpha*d) + Lq[t], (Lq[o] +
+    alpha*d) + Lp[t])``, is at most its acceptance level plus ``tol``."""
 
     if tol < 0:
         raise ValueError("coverage tolerance must be nonnegative")
-    covered: list[tuple[int, int]] = []
-    total = 0.0
-    for pair in inst.pairs:
-        f = float(trip_length(inst, dom, pair, x, y))
-        if f <= pair.acceptance + tol:
-            covered.append((pair.origin, pair.dest))
-            total += pair.weight
-    return covered, total
+    ad, lp, lq = _legs(inst, dom, x, y)
+    row = inst.facility_index
+    o = np.array([row[pair.origin] for pair in inst.pairs], dtype=np.intp)
+    t = np.array([row[pair.dest] for pair in inst.pairs], dtype=np.intp)
+    level = np.array([pair.acceptance + tol for pair in inst.pairs])
+    trip = np.minimum((lp[o] + ad) + lq[t], (lq[o] + ad) + lp[t])
+    return trip <= level.reshape((-1,) + (1,) * np.ndim(ad))
+
+
+def coverage_and_objective(
+    inst: ProblemInstance, dom: PairDomain, x: float, y: float, tol: float = DEFAULT_COVERAGE_TOL
+) -> tuple[list[tuple[int, int]], float]:
+    """Covered pair list and weight sum, in pair order, at a single point."""
+
+    hits = [pair for pair, hit in zip(inst.pairs, coverage_mask(inst, dom, x, y, tol)) if hit]
+    return [(pair.origin, pair.dest) for pair in hits], sum((pair.weight for pair in hits), 0.0)
 
 
 def coverage_weights(
-    inst: ProblemInstance,
-    dom: PairDomain,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    tol: float = DEFAULT_COVERAGE_TOL,
+    inst: ProblemInstance, dom: PairDomain, xs, ys, tol: float = DEFAULT_COVERAGE_TOL
 ) -> np.ndarray:
-    """Vectorized objective over arrays of candidate points (same shape)."""
+    """Covered weight at each of many candidate points, summed in pair order."""
 
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    total = np.zeros(np.broadcast(xs, ys).shape)
-    for pair in inst.pairs:
-        f = trip_length(inst, dom, pair, xs, ys)
-        total += pair.weight * (f <= pair.acceptance + tol)
+    mask = coverage_mask(inst, dom, xs, ys, tol)
+    total = np.zeros(mask.shape[1:])
+    for pair, covered in zip(inst.pairs, mask):
+        total += pair.weight * covered
     return total
 
 

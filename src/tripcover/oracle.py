@@ -3,7 +3,7 @@
 A brute-force grid oracle over edge-pair rectangles provides an independent
 lower bound used for verification; it evaluates network distances directly
 from the vertex distance matrix and never touches the segment classification
-machinery.
+machinery or the solver's coverage evaluator, also on one restricted problem.
 
 Over the whole network the oracle samples each edge at ``res`` points and
 evaluates every unordered edge pair on the ``res`` x ``res`` grid of sample
@@ -61,16 +61,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mixed_distance import DEFAULT_COVERAGE_TOL, coverage_weights
+from .mixed_distance import DEFAULT_COVERAGE_TOL
 from .model import NetworkPoint, ProblemInstance, network_point
 from .preprocess import all_pairs_shortest_paths
-
-if TYPE_CHECKING:
-    from .fds_solver import RestrictedProblem
 
 
 @dataclass(frozen=True)
@@ -167,23 +163,29 @@ def evaluate_point_pair(
     return rows, total
 
 
+def _facility_distances(inst: ProblemInstance, edge: int, ts: np.ndarray) -> np.ndarray:
+    """``hyp[f, i]``, the ``np.hypot`` distance from facility ``f`` to the
+    point at arc length ``ts[i]`` of ``edge``."""
+
+    fx = np.array([f.position.x for f in inst.facilities])
+    fy = np.array([f.position.y for f in inst.facilities])
+    xs, ys = _edge_positions(inst.network, edge, ts)
+    return np.hypot(fx[:, None] - xs, fy[:, None] - ys)
+
+
 def _sample_edges(inst: ProblemInstance, res: int):
     """Each edge's ``res`` sample arc lengths and facility distances.
 
-    Returns ``samples[e] = (ts, hyp)`` with ``hyp[f, i]`` the ``np.hypot``
-    distance from facility ``f`` to the sample at ``ts[i]``, and
-    ``nearest[f, e]``, the least of ``hyp[f]``.
+    Returns ``samples[e] = (ts, hyp)`` with ``hyp`` from
+    ``_facility_distances``, and ``nearest[f, e]``, the least of ``hyp[f]``.
     """
 
     net = inst.network
-    fx = np.array([f.position.x for f in inst.facilities])
-    fy = np.array([f.position.y for f in inst.facilities])
     samples = []
-    nearest = np.empty((len(fx), len(net.edges)))
+    nearest = np.empty((len(inst.facilities), len(net.edges)))
     for e in range(len(net.edges)):
         ts = np.linspace(0.0, net.edges[e].length, res)
-        xs, ys = _edge_positions(net, e, ts)
-        hyp = np.hypot(fx[:, None] - xs, fy[:, None] - ys)
+        hyp = _facility_distances(inst, e, ts)
         samples.append((ts, hyp))
         nearest[:, e] = hyp.min(axis=1)
     return samples, nearest
@@ -289,41 +291,56 @@ def _live_terms(inst: ProblemInstance, dist: np.ndarray, samples, nearest, cov_t
             yield ei, ej, box, [(k, local(b12), local(b21)) for k, b12, b21 in terms]
 
 
+def _segment_pair_grid(inst: ProblemInstance, rp, res: int, cov_tol: float, dist) -> OracleResult:
+    """The whole grid over one restricted problem's segments, every term
+    evaluated everywhere and summed in pair order, as ``oracle_grid`` sums it."""
+
+    net = inst.network
+    ep, eq = rp.seg_p.edge, rp.seg_q.edge
+    ps = rp.seg_p.start + np.linspace(0.0, rp.seg_p.length, res)
+    qs = rp.seg_q.start + np.linspace(0.0, rp.seg_q.length, res)
+    hp, hq = _facility_distances(inst, ep, ps), _facility_distances(inst, eq, qs)
+    network = inst.alpha * edge_pair_distance(net, dist, ep, eq, ps[:, None], qs[None, :])
+    total = np.zeros_like(network)
+    facility = inst.facility_index
+    for pair in inst.pairs:
+        o, d = facility[pair.origin], facility[pair.dest]
+        f12 = (hp[o, :, None] + network) + hq[d]
+        f21 = (hq[o] + network) + hp[d, :, None]
+        total[np.minimum(f12, f21) <= pair.acceptance + cov_tol] += pair.weight
+    gi, gj = np.unravel_index(int(np.argmax(total)), total.shape)
+    x1, x2 = network_point(net, ep, ps[gi]), network_point(net, eq, qs[gj])
+    return OracleResult(x1, x2, float(total[gi, gj]))
+
+
 def oracle_grid(
     inst: ProblemInstance,
     res: int = 200,
-    rp: RestrictedProblem | None = None,
+    rp=None,
     cov_tol: float = DEFAULT_COVERAGE_TOL,
     dist: np.ndarray | None = None,
 ) -> OracleResult:
     """Brute-force grid lower bound on the optimal objective.
 
     Evaluates the coverage objective on a ``res`` x ``res`` grid (endpoints
-    included, so ``res = 2`` samples the corners) over the given restricted
-    rectangle, or over every unordered edge-pair rectangle of the network,
-    evaluating each term only on the samples where it may add its weight
-    (see the module docstring).  Halving the spacing reuses every existing
-    sample, so refining the grid never loses coverage.  By construction the
-    result never exceeds the exact optimum.
+    included, so ``res = 2`` samples the corners) over the rectangle of the
+    restricted problem ``rp`` (only its ``seg_p`` and ``seg_q`` are read), or
+    over every unordered edge-pair rectangle of the network, evaluating each
+    term only on the samples where it may add its weight (see the module
+    docstring).  Halving the spacing reuses every existing sample, so refining
+    the grid never loses coverage.  By construction the result never exceeds
+    the exact optimum.
     """
 
     if not isinstance(res, numbers.Integral) or res < 2:
         raise ValueError(f"grid resolution must be an integer >= 2, got {res}")
     _check_cov_tol(cov_tol)
 
-    if rp is not None:
-        xs = np.linspace(0.0, rp.rect[0], res)
-        ys = np.linspace(0.0, rp.rect[1], res)
-        values = coverage_weights(inst, rp.domain, xs[:, None], ys[None, :], cov_tol)
-        flat = int(np.argmax(values))
-        gi, gj = np.unravel_index(flat, values.shape)
-        x1 = network_point(inst.network, rp.seg_p.edge, rp.seg_p.start + xs[gi])
-        x2 = network_point(inst.network, rp.seg_q.edge, rp.seg_q.start + ys[gj])
-        return OracleResult(x1, x2, float(values[gi, gj]))
-
     net = inst.network
     if dist is None:
         dist = all_pairs_shortest_paths(net)
+    if rp is not None:
+        return _segment_pair_grid(inst, rp, res, cov_tol, dist)
     samples, nearest = _sample_edges(inst, res)
     facility = inst.facility_index
 

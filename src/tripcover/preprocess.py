@@ -95,9 +95,9 @@ def all_pairs_shortest_paths(net: Network) -> np.ndarray:
 class BottleneckPoint:
     """Interior edge point where both routes to some vertex tie.
 
-    ``vertices`` lists every vertex id defining (up to ``MERGE_TOL``) the same
-    interior point; coincident candidates are merged so the segment partition
-    stays a partition.
+    ``vertices`` lists every vertex id defining (up to the merge tolerance of
+    ``arc_bottleneck_points``) the same interior point; coincident candidates
+    are merged so the segment partition stays a partition.
     """
 
     edge: int
@@ -120,22 +120,25 @@ def arc_bottleneck_points(
 ) -> list[BottleneckPoint]:
     """Sorted interior bottleneck points of one edge.
 
-    One candidate per vertex; candidates landing on (or within ``MERGE_TOL``
-    of) an endpoint are dropped, and interior candidates closer than
-    ``MERGE_TOL`` are merged keeping every defining vertex id.
+    One candidate per vertex; candidates landing on (or within ``tol`` of) an
+    endpoint are dropped, and interior candidates closer than ``tol`` are
+    merged keeping every defining vertex id.  ``tol`` is ``MERGE_TOL``, or
+    ``_ROUTE_ROUNDING`` times the edge length where that is larger, so that
+    rounding noise on a long edge makes no segment.
     """
 
     e = net.edges[edge]
+    tol = max(MERGE_TOL, _ROUTE_ROUNDING * e.length)
     found: list[tuple[float, int]] = []
     for v in net.vertices:
         t = bottleneck_candidate(net, dist, edge, v.id)
-        if MERGE_TOL < t < e.length - MERGE_TOL:
+        if tol < t < e.length - tol:
             found.append((t, v.id))
     found.sort()
 
     merged: list[BottleneckPoint] = []
     for t, vid in found:
-        if merged and t - merged[-1].arc_length < MERGE_TOL:
+        if merged and t - merged[-1].arc_length < tol:
             last = merged[-1]
             merged[-1] = BottleneckPoint(edge, last.arc_length, last.vertices + (vid,))
         else:

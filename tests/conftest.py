@@ -6,7 +6,9 @@ points into the graph as degree-2 vertices and running its own Dijkstra, and
 ``enumerated_vertex_distance`` minimizes over all simple vertex paths.  Both
 exist so library results can be checked against something that shares no code
 path with them.  ``reference_oracle_grid`` is the whole-network grid oracle
-with no term skipped, the yardstick of ``oracle_grid``'s skip rule.
+with no term skipped, the yardstick of ``oracle_grid``'s skip rule, and
+``reference_coverage_weights`` the per-pair coverage loop that the facility-leg
+evaluator replaces, its yardstick.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from tripcover.fds_solver import (
     restricted_problems,
     solve_restricted,
 )
-from tripcover.mixed_distance import DEFAULT_COVERAGE_TOL, pair_domain
+from tripcover.mixed_distance import DEFAULT_COVERAGE_TOL, network_distance, pair_domain
 from tripcover.model import Network, NetworkPoint, ProblemInstance, Solution, network_point
 from tripcover.oracle import _edge_positions
 from tripcover.preprocess import (
@@ -279,6 +281,33 @@ def reference_oracle_grid(
                 best_value = value
                 best_points = (network_point(net, ei, ps[gi]), network_point(net, ej, qs[gj]))
     return best_value, best_points[0], best_points[1]
+
+
+def reference_trip_length(inst: ProblemInstance, dom, pair, x, y):
+    """One pair's better boarding order, from its own ``hypot`` legs and
+    ``alpha * network_distance``, added in the coverage test's order."""
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    network = inst.alpha * network_distance(dom.pair_class, x, y)
+    px, py = dom.geom_p.position(x)
+    qx, qy = dom.geom_q.position(y)
+    a = inst.facility_position(pair.origin)
+    b = inst.facility_position(pair.dest)
+    h12 = (np.hypot(a.x - px, a.y - py) + network) + np.hypot(qx - b.x, qy - b.y)
+    h21 = (np.hypot(a.x - qx, a.y - qy) + network) + np.hypot(px - b.x, py - b.y)
+    return np.minimum(h12, h21)
+
+
+def reference_coverage_weights(
+    inst: ProblemInstance, dom, xs, ys, tol: float = DEFAULT_COVERAGE_TOL
+) -> np.ndarray:
+    """Covered weight at each point, one pair at a time, summed in pair order."""
+
+    total = np.zeros(np.broadcast(np.asarray(xs), np.asarray(ys)).shape)
+    for pair in inst.pairs:
+        trip = reference_trip_length(inst, dom, pair, xs, ys)
+        total += pair.weight * (trip <= pair.acceptance + tol)
+    return total
 
 
 # ---------------------------------------------------------------------------

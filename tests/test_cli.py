@@ -215,7 +215,7 @@ def test_csv_format_rejected_outside_curves(files):
         (["oracle"], "--trace-res", "64"),
         (["oracle"], "--jobs", "2"),
         (["preprocess"], "--cov-tol", "1e-6"),
-        (["curves", "--segments", "0,2"], "--refine-tol", "1e-6"),
+        (["curves", "--segments", "0,2"], "--cov-tol", "1e-6"),
         (["evaluate", "--x1", "0:1", "--x2", "1:1"], "--jobs", "2"),
     ],
 )

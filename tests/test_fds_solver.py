@@ -174,9 +174,9 @@ def test_problem_with_more_than_two_forms(monkeypatch):
 
     crossed = []
 
-    def recorded(pairs, refine_tol):
+    def recorded(pairs):
         crossed.extend(pairs)
-        return intersect_curve_pairs(pairs, refine_tol)
+        return intersect_curve_pairs(pairs)
 
     monkeypatch.setattr(fds_solver, "intersect_curve_pairs", recorded)
     beyond_b = 0
@@ -888,9 +888,6 @@ def test_global_matches_unpruned_sweep(name, transform):
         {"cov_tol": math.nan},
         {"cov_tol": math.inf},
         {"cov_tol": -1e-9},
-        {"refine_tol": -1.0},
-        {"refine_tol": 0.0},
-        {"refine_tol": math.nan},
         {"jobs": 0},
         {"jobs": -3},
         {"jobs": 2.5},
@@ -928,7 +925,7 @@ def test_oracle_and_evaluate_cov_tol_checked_before_any_work(cov_tol, monkeypatc
     rp = antipodal_problem(inst)
     dist = preprocess_network(inst.network).dist
     point = network_point(inst.network, 0, 1.0)
-    for name in ("all_pairs_shortest_paths", "coverage_weights", "network_point_distance"):
+    for name in ("all_pairs_shortest_paths", "_segment_pair_grid", "network_point_distance"):
         monkeypatch.setattr(oracle, name, refuse)
     message = "cov_tol must be finite and >= 0"
     with pytest.raises(ValueError, match=message):
@@ -949,7 +946,7 @@ def test_oracle_res_checked_before_any_work(res, monkeypatch):
 
     inst = parse_instance(fig4_doc())
     rp = antipodal_problem(inst)
-    for name in ("all_pairs_shortest_paths", "coverage_weights", "_check_cov_tol"):
+    for name in ("all_pairs_shortest_paths", "_segment_pair_grid", "_check_cov_tol"):
         monkeypatch.setattr(oracle, name, refuse)
     message = "grid resolution must be an integer >= 2"
     with pytest.raises(ValueError, match=message):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import tripcover.fds_solver as fds_solver
 from tripcover import parse_instance
+from tripcover.fds_solver import solve_global
 from tripcover.mixed_distance import (
     ORIENT_12,
     ORIENT_21,
@@ -12,11 +14,23 @@ from tripcover.mixed_distance import (
     network_distance,
     pair_domain,
     path_length,
-    trip_length,
 )
 from tripcover.model import ODPair
 from tripcover.preprocess import classify_segment_pair, preprocess_network
-from conftest import S6, antipodal_problem, insertion_distance, trapezoid_doc
+from conftest import (
+    S6,
+    SUITE_SEEDS,
+    SUITE_TRACE_RES,
+    antipodal_problem,
+    detour_doc,
+    fig4_doc,
+    grid_instance_doc,
+    insertion_distance,
+    random_instance_doc,
+    reference_coverage_weights,
+    reference_trip_length,
+    trapezoid_doc,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +95,7 @@ def test_trip_length_is_min_of_orientations(trapezoid, antipodal):
     rng = np.random.default_rng(4)
     xs = rng.uniform(0, 5, 500)
     ys = rng.uniform(0, 5, 500)
-    f = trip_length(trapezoid, antipodal.domain, pair, xs, ys)
+    f = reference_trip_length(trapezoid, antipodal.domain, pair, xs, ys)
     h12 = path_length(trapezoid, antipodal.domain, pair, xs, ys, ORIENT_12)
     h21 = path_length(trapezoid, antipodal.domain, pair, xs, ys, ORIENT_21)
     assert np.all(f <= h12 + 1e-15)
@@ -106,8 +120,8 @@ def test_trip_length_symmetric_under_role_swap(trapezoid, random_suite):
             xs = rng.uniform(0, segs[a].length, 1000)
             ys = rng.uniform(0, segs[b].length, 1000)
             pair = inst.pairs[0]
-            f_ab = trip_length(inst, dom_ab, pair, xs, ys)
-            f_ba = trip_length(inst, dom_ba, pair, ys, xs)
+            f_ab = reference_trip_length(inst, dom_ab, pair, xs, ys)
+            f_ba = reference_trip_length(inst, dom_ba, pair, ys, xs)
             assert np.allclose(f_ab, f_ba, atol=1e-9, rtol=0)
 
 
@@ -120,7 +134,7 @@ def test_fig2_alpha04_orientations(trapezoid_a04):
     grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")
     h12 = path_length(trapezoid_a04, rp.domain, pair, grid_x, grid_y, ORIENT_12)
     h21 = path_length(trapezoid_a04, rp.domain, pair, grid_x, grid_y, ORIENT_21)
-    f = trip_length(trapezoid_a04, rp.domain, pair, grid_x, grid_y)
+    f = reference_trip_length(trapezoid_a04, rp.domain, pair, grid_x, grid_y)
     assert h12.min() <= 10.0
     assert h21.min() > 10.0
     assert f.min() <= 10.0
@@ -132,7 +146,7 @@ def test_zero_acceptance_never_covered(trapezoid):
     rng = np.random.default_rng(6)
     xs = rng.uniform(0, 5, 2000)
     ys = rng.uniform(0, 5, 2000)
-    f = trip_length(inst, rp.domain, inst.pairs[0], xs, ys)
+    f = reference_trip_length(inst, rp.domain, inst.pairs[0], xs, ys)
     assert np.all(f > 0.0)
 
 
@@ -156,7 +170,7 @@ def test_trip_length_monotone_in_alpha(antipodal):
     previous = None
     for alpha in (0.2, 0.3, 0.5, 0.8):
         inst = parse_instance(trapezoid_doc(alpha=alpha))
-        f = trip_length(inst, antipodal.domain, inst.pairs[0], xs, ys)
+        f = reference_trip_length(inst, antipodal.domain, inst.pairs[0], xs, ys)
         if previous is not None:
             assert np.all(f >= previous - 1e-12)
         previous = f
@@ -165,7 +179,7 @@ def test_trip_length_monotone_in_alpha(antipodal):
 def test_coverage_single_pair(trapezoid_a04):
     rp = antipodal_problem(trapezoid_a04)
     covered, value = coverage_and_objective(trapezoid_a04, rp.domain, 2.5, 2.5)
-    f = float(trip_length(trapezoid_a04, rp.domain, trapezoid_a04.pairs[0], 2.5, 2.5))
+    f = float(reference_trip_length(trapezoid_a04, rp.domain, trapezoid_a04.pairs[0], 2.5, 2.5))
     if f <= 10.0:
         assert covered == [(0, 1)] and value == 1.0
     else:
@@ -229,3 +243,45 @@ def test_coverage_weights_matches_scalar(trapezoid_a04):
         for x, y in zip(xs, ys)
     ]
     assert batch.tolist() == singles
+
+
+SOLVED_PROBES = {
+    "fig4": fig4_doc(),
+    "trapezoid-a03": trapezoid_doc(alpha=0.3),
+    "trapezoid-a04": trapezoid_doc(alpha=0.4),
+    "detour": detour_doc(),
+    "grid3": grid_instance_doc(3, 8, 30),
+    **{f"seed{seed}": random_instance_doc(seed) for seed in SUITE_SEEDS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_PROBES))
+def test_facility_legs_match_the_per_pair_reference(name, monkeypatch):
+    # every coverage evaluation of a solve, the candidates of each solved
+    # problem and its winner, equals the per-pair loop bit for bit
+    inst = parse_instance(SOLVED_PROBES[name])
+    seen = {"weights": [], "winner": []}
+
+    def recorded(kind, fn):
+        def call(inst, dom, x, y, tol):
+            out = fn(inst, dom, x, y, tol)
+            seen[kind].append((dom, x, y, tol, out))
+            return out
+
+        return call
+
+    monkeypatch.setattr(fds_solver, "coverage_weights", recorded("weights", coverage_weights))
+    monkeypatch.setattr(
+        fds_solver, "coverage_and_objective", recorded("winner", coverage_and_objective)
+    )
+    _, stats = solve_global(inst, trace_res=SUITE_TRACE_RES)
+    assert len(seen["weights"]) == len(seen["winner"]) == stats["solved"] > 0
+    for dom, xs, ys, tol, weights in seen["weights"]:
+        assert np.array_equal(weights, reference_coverage_weights(inst, dom, xs, ys, tol))
+    for dom, x, y, tol, (covered, objective) in seen["winner"]:
+        assert objective == reference_coverage_weights(inst, dom, x, y, tol)
+        assert covered == [
+            (pair.origin, pair.dest)
+            for pair in inst.pairs
+            if reference_trip_length(inst, dom, pair, x, y) <= pair.acceptance + tol
+        ]

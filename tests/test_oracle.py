@@ -1,5 +1,8 @@
 """The grid oracle's skip rule: the same answer, bit for bit, with less work."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,3 +169,16 @@ def test_grid4_samples_only_the_boxes_of_its_blocks(monkeypatch):
     assert oracle_grid(inst, res=200).objective == 11.0
     assert grids <= 115
     assert cells <= 2_482_578
+
+
+def test_oracle_imports_nothing_of_the_solver():
+    # the oracle checks the solver, so it may share only the default tolerance
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module or "", set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((a.name, set()) for a in node.names)
+    for module, names in imported.items():
+        assert not {"fds_solver", "level_curves"} & {module.rpartition(".")[2], *names}, module
+    assert imported.get("mixed_distance") == {"DEFAULT_COVERAGE_TOL"}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripcover import parse_instance
+from tripcover.fds_solver import solve_global
 from tripcover.level_curves import DEFAULT_DEDUPE_RADIUS
 from tripcover.mixed_distance import network_distance
 from tripcover.preprocess import (
@@ -177,6 +178,19 @@ def test_segments_trapezoid(trapezoid):
         (6.0, 7.0),
     ]
     assert [(s.start, s.end) for s in prep.segments_by_edge[0]] == [(0.0, 5.0)]
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e8])
+@pytest.mark.parametrize("seed, segments", [(104, 21), (107, 6), (111, 3)])
+def test_large_scale_keeps_the_unit_scale_segments(seed, segments, scale):
+    # an absolute end and merge test, below one ulp of a long edge, turned
+    # rounding noise into segments: seed 111 had 5 at 1e6 and 7 at 1e8
+    unit = parse_instance(random_instance_doc(seed))
+    inst = parse_instance(transformed_doc(random_instance_doc(seed), scale=scale))
+    assert len(preprocess_network(unit.network).segments) == segments
+    assert len(preprocess_network(inst.network).segments) == segments
+    objective = solve_global(unit, trace_res=64)[0].objective
+    assert solve_global(inst, trace_res=64)[0].objective == objective
 
 
 def test_segment_tiling(random_suite):
