@@ -45,19 +45,41 @@ drop, for all edge pairs at once, the terms that neither order can cover.
 For each term left, the rows and the columns whose floor reaches the level in
 a boarding order span that order's block, from the first such index to the
 last: a sample outside it exceeds the level in that order.  A term with
-neither block is dropped.  Each edge pair computes ``alpha * d`` only on the
-box that bounds its blocks, and evaluates each term only on its blocks; one
-with no block left is not sampled at all.  Each sample's total is the sum,
-in pair order, of the same weights as on the full grid, and samples outside
-the box would be 0.  The search starts from value 0 at the start of edge 0,
-where a grid of zeros on the first edge pair puts it, and only a larger
-value replaces it.  So with non-negative weights the best value lies inside
-a box, and ``argmax`` over the box, whose row-major order is the grid's,
-picks the same sample as over the full grid.
+neither block is dropped.  An edge pair computes ``alpha * d`` only on the
+box that bounds its blocks, and evaluates each term only on its blocks.  Each
+sample's total is the sum, in pair order, of the same weights as on the full
+grid, and samples outside the box would be 0.
+
+The edge pairs are searched best first by weight bound, and the search keeps
+the result of a sweep in edge-pair order (the first best sample in edge-pair
+order, row-major within a grid) with three facts:
+
+* a sum in pair order of some of the weights (every weight is
+  non-negative) is at most the sum in pair order of all of them, since IEEE
+  addition is monotone and adding ``0`` changes nothing.  So no sample total
+  exceeds its edge pair's coarse bound (the weights of the O/D pairs that
+  pass the ``nmin`` test), and none exceeds its row's bound (the weights of
+  the terms whose blocks touch that row);
+* the sweep starts from value 0 at the start of edge 0, where a grid of
+  zeros on edge pair 0 puts it, and keeps the first best value in edge-pair
+  order.  So only a larger value, or an equal value at a smaller edge-pair
+  index, replaces the incumbent; within one edge pair ``argmax``, over rows
+  kept in grid order, picks the sample the sweep picks;
+* an edge pair or a row whose bound neither exceeds the incumbent nor equals
+  it at a smaller index holds no sample that could replace it, now or after
+  the incumbent improves.  Edge pairs are popped in order of decreasing
+  bound and increasing index, so the search stops at the first such pair.
+  A skipped row cannot hold a value that wins, nor the first sample of a
+  value that wins elsewhere in its box.
+
+Each edge pair enters the heap with its coarse bound.  Its first pop computes
+its blocks and pushes it back with its largest row bound; its second samples
+the rows whose bound may still win.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -163,13 +185,20 @@ def evaluate_point_pair(
     return rows, total
 
 
-def _facility_distances(inst: ProblemInstance, edge: int, ts: np.ndarray) -> np.ndarray:
-    """``hyp[f, i]``, the ``np.hypot`` distance from facility ``f`` to the
-    point at arc length ``ts[i]`` of ``edge``."""
+def _facility_coordinates(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array([f.position.x for f in inst.facilities]),
+        np.array([f.position.y for f in inst.facilities]),
+    )
 
-    fx = np.array([f.position.x for f in inst.facilities])
-    fy = np.array([f.position.y for f in inst.facilities])
-    xs, ys = _edge_positions(inst.network, edge, ts)
+
+def _facility_distances(net, facilities, edge: int, ts: np.ndarray) -> np.ndarray:
+    """``hyp[f, i]``, the ``np.hypot`` distance from facility ``f`` to the
+    point at arc length ``ts[i]`` of ``edge``; ``facilities`` is
+    ``_facility_coordinates``."""
+
+    fx, fy = facilities
+    xs, ys = _edge_positions(net, edge, ts)
     return np.hypot(fx[:, None] - xs, fy[:, None] - ys)
 
 
@@ -181,11 +210,12 @@ def _sample_edges(inst: ProblemInstance, res: int):
     """
 
     net = inst.network
+    facilities = _facility_coordinates(inst)
     samples = []
     nearest = np.empty((len(inst.facilities), len(net.edges)))
     for e in range(len(net.edges)):
         ts = np.linspace(0.0, net.edges[e].length, res)
-        hyp = _facility_distances(inst, e, ts)
+        hyp = _facility_distances(net, facilities, e, ts)
         samples.append((ts, hyp))
         nearest[:, e] = hyp.min(axis=1)
     return samples, nearest
@@ -231,64 +261,138 @@ def _blocks(rows: np.ndarray, cols: np.ndarray) -> list:
     return [block if h else None for h, block in zip(has, zip(r0, r1, c0, c1))]
 
 
-def _live_terms(inst: ProblemInstance, dist: np.ndarray, samples, nearest, cov_tol: float):
-    """Each edge pair that may cover an O/D pair, with the blocks to evaluate.
+class _Grid:
+    """The ``res`` x ``res`` sample grids of every edge pair of ``inst``.
 
-    Yields ``(ei, ej, box, terms)`` in edge-pair order.  ``box`` is the
-    ``(rows, cols)`` slices of the ``res`` x ``res`` grid that bound every
-    block; ``terms`` lists ``(k, block12, block21)`` for each O/D pair ``k``,
-    in pair order, that has a block in either boarding order.  A block is
-    ``(rows, cols)`` slices of ``box``, or ``None``, and no sample outside it
-    is covered in its boarding order (see the module docstring).
+    Edge pair ``n`` is ``(first[n], second[n])``, numbered in the order
+    ``ei <= ej`` row by row.  ``bounds`` and ``terms`` give its weight bounds
+    and blocks (see the module docstring); ``evaluate`` samples its box.
     """
 
-    net = inst.network
-    facility = inst.facility_index
-    orig = np.array([facility[pair.origin] for pair in inst.pairs])
-    dest = np.array([facility[pair.dest] for pair in inst.pairs])
-    near_o = nearest[orig]
-    near_d = nearest[dest]
-    levels = np.array([pair.acceptance + cov_tol for pair in inst.pairs]).reshape(-1, 1)
-    idx = net.vertex_index
-    ends = np.array([[idx[e.u], idx[e.w]] for e in net.edges])
+    def __init__(self, inst: ProblemInstance, dist: np.ndarray, res: int, cov_tol: float):
+        net = inst.network
+        self.inst, self.dist = inst, dist
+        self.samples, nearest = _sample_edges(inst, res)
+        facility = inst.facility_index
+        self.orig = np.array([facility[pair.origin] for pair in inst.pairs], dtype=int)
+        self.dest = np.array([facility[pair.dest] for pair in inst.pairs], dtype=int)
+        self.near_o = nearest[self.orig]
+        self.near_d = nearest[self.dest]
+        self.levels = np.array([pair.acceptance + cov_tol for pair in inst.pairs])
+        self.weights = [pair.weight for pair in inst.pairs]
+        self.first, self.second = np.triu_indices(len(net.edges))
+        idx = net.vertex_index
+        ends = np.array([[idx[e.u], idx[e.w]] for e in net.edges])
+        # floor of alpha * d on each edge pair; 0 on one edge, where an
+        # endpoint is at distance 0 from itself
+        self.nmin = inst.alpha * dist[
+            ends[self.first][:, :, None], ends[self.second][:, None, :]
+        ].min(axis=(1, 2))
 
-    for ei in range(len(net.edges)):
-        ps, hp = samples[ei]
-        # floor of alpha * d on each edge pair (ei, ej >= ei); 0 on ei itself,
-        # where an endpoint is at distance 0 from itself
-        nmin = inst.alpha * dist[ends[ei]][:, ends[ei:]].min(axis=(0, 2))
-        # live[k, c]: pair k may be covered on the edge pair (ei, ei + c)
-        live = ((near_o[:, ei, None] + nmin) + near_d[:, ei:] <= levels) | (
-            (near_o[:, ei:] + nmin) + near_d[:, ei, None] <= levels
+    def _may_cover(self, k, ei, ej, nmin):
+        """The ``nmin`` test of pairs ``k`` on edge pairs ``(ei, ej)``: either
+        boarding order with ``alpha * d`` at ``nmin`` and both legs at their
+        least sampled value reaches the level."""
+
+        near_o, near_d, level = self.near_o[k], self.near_d[k], self.levels[k]
+        return ((near_o[..., ei] + nmin) + near_d[..., ej] <= level) | (
+            (near_o[..., ej] + nmin) + near_d[..., ei] <= level
         )
-        for c in np.flatnonzero(live.any(axis=0)):
-            ej = ei + int(c)
-            qs, hq = samples[ej]
-            rfloor, cfloor = _network_floors(net, dist, inst.alpha, ei, ej, ps, qs)
-            ks = np.flatnonzero(live[:, c])
-            o, d, level = orig[ks], dest[ks], levels[ks]
-            # the rows and columns where each boarding order may reach its
-            # level, summed in the order the grid sums its trip length
-            blocks12 = _blocks(
-                (hp[o] + rfloor) + near_d[ks, ej, None] <= level,
-                (near_o[ks, ei, None] + cfloor) + hq[d] <= level,
+
+    def bounds(self) -> np.ndarray:
+        """Per edge pair, the weights of the pairs that pass the ``nmin``
+        test, summed in pair order."""
+
+        bound = np.zeros(len(self.first))
+        for k, weight in enumerate(self.weights):
+            bound += weight * self._may_cover(k, self.first, self.second, self.nmin)
+        return bound
+
+    def terms(self, n: int):
+        """The box and the blocks of edge pair ``n``.
+
+        Returns ``(box, terms)``, or ``None`` when no pair has a block.
+        ``box`` is the ``(rows, cols)`` slices of the ``res`` x ``res`` grid
+        that bound every block; ``terms`` lists ``(k, block12, block21)`` for
+        each O/D pair ``k``, in pair order, that has a block in either
+        boarding order.  A block is ``(rows, cols)`` slices of ``box``, or
+        ``None``, and no sample outside it is covered in its boarding order
+        (see the module docstring).
+        """
+
+        ei, ej = int(self.first[n]), int(self.second[n])
+        ps, hp = self.samples[ei]
+        qs, hq = self.samples[ej]
+        rfloor, cfloor = _network_floors(self.inst.network, self.dist, self.inst.alpha, ei, ej, ps, qs)
+        ks = np.flatnonzero(self._may_cover(slice(None), ei, ej, self.nmin[n]))
+        o, d, level = self.orig[ks], self.dest[ks], self.levels[ks, None]
+        near_o, near_d = self.near_o[ks], self.near_d[ks]
+        # the rows and columns where each boarding order may reach its level,
+        # summed in the order the grid sums its trip length
+        blocks12 = _blocks(
+            (hp[o] + rfloor) + near_d[:, ej, None] <= level,
+            (near_o[:, ei, None] + cfloor) + hq[d] <= level,
+        )
+        blocks21 = _blocks(
+            (near_o[:, ej, None] + rfloor) + hp[d] <= level,
+            (hq[o] + cfloor) + near_d[:, ei, None] <= level,
+        )
+        terms = [t for t in zip(ks.tolist(), blocks12, blocks21) if t[1] or t[2]]
+        if not terms:
+            return None
+        spans = [b for t in terms for b in t[1:] if b]
+        r0 = min(b[0] for b in spans)
+        c0 = min(b[2] for b in spans)
+
+        def local(b):
+            return b and (slice(b[0] - r0, b[1] - r0), slice(b[2] - c0, b[3] - c0))
+
+        box = (slice(r0, max(b[1] for b in spans)), slice(c0, max(b[3] for b in spans)))
+        return box, [(k, local(b12), local(b21)) for k, b12, b21 in terms]
+
+    def row_bounds(self, box, terms) -> np.ndarray:
+        """Per row of ``box``, the weights of the terms whose blocks touch
+        it, summed in pair order."""
+
+        bound = np.zeros(box[0].stop - box[0].start)
+        for k, *blocks in terms:
+            touched = np.zeros(bound.shape, dtype=bool)
+            for block in blocks:
+                if block:
+                    touched[block[0]] = True
+            bound += self.weights[k] * touched
+        return bound
+
+    def evaluate(self, n: int, box, terms, rows: np.ndarray):
+        """Sample totals of edge pair ``n`` on the given ``rows`` of ``box``
+        and every column of it, with the arc lengths of those samples: each
+        term on its blocks, summed in pair order."""
+
+        inst = self.inst
+        ei, ej = int(self.first[n]), int(self.second[n])
+        picked = box[0].start + rows
+        ps, hp = self.samples[ei][0][picked], self.samples[ei][1][:, picked]
+        qs, hq = self.samples[ej][0][box[1]], self.samples[ej][1][:, box[1]]
+        network = inst.alpha * edge_pair_distance(inst.network, self.dist, ei, ej, ps[:, None], qs[None, :])
+        total = np.zeros_like(network)
+        for k, *blocks in terms:
+            # each block's rows among ``rows``, which are sorted
+            block12, block21 = (
+                b and (slice(*np.searchsorted(rows, (b[0].start, b[0].stop)).tolist()), b[1])
+                for b in blocks
             )
-            blocks21 = _blocks(
-                (near_o[ks, ej, None] + rfloor) + hp[d] <= level,
-                (hq[o] + cfloor) + near_d[ks, ei, None] <= level,
-            )
-            terms = [t for t in zip(ks.tolist(), blocks12, blocks21) if t[1] or t[2]]
-            if not terms:
+            if not any(b and b[0].start < b[0].stop for b in (block12, block21)):
                 continue
-            spans = [b for t in terms for b in t[1:] if b]
-            r0 = min(b[0] for b in spans)
-            c0 = min(b[2] for b in spans)
-
-            def local(b):
-                return b and (slice(b[0] - r0, b[1] - r0), slice(b[2] - c0, b[3] - c0))
-
-            box = (slice(r0, max(b[1] for b in spans)), slice(c0, max(b[3] for b in spans)))
-            yield ei, ej, box, [(k, local(b12), local(b21)) for k, b12, b21 in terms]
+            o, d, level = self.orig[k], self.dest[k], self.levels[k]
+            covered = np.zeros(network.shape, dtype=bool)
+            if block12:
+                i, j = block12
+                covered[i, j] = (hp[o, i, None] + network[i, j]) + hq[d, j] <= level
+            if block21:
+                i, j = block21
+                covered[i, j] |= (hq[o, j] + network[i, j]) + hp[d, i, None] <= level
+            total[covered] += self.weights[k]
+        return total, ps, qs
 
 
 def _segment_pair_grid(inst: ProblemInstance, rp, res: int, cov_tol: float, dist) -> OracleResult:
@@ -299,7 +403,9 @@ def _segment_pair_grid(inst: ProblemInstance, rp, res: int, cov_tol: float, dist
     ep, eq = rp.seg_p.edge, rp.seg_q.edge
     ps = rp.seg_p.start + np.linspace(0.0, rp.seg_p.length, res)
     qs = rp.seg_q.start + np.linspace(0.0, rp.seg_q.length, res)
-    hp, hq = _facility_distances(inst, ep, ps), _facility_distances(inst, eq, qs)
+    facilities = _facility_coordinates(inst)
+    hp = _facility_distances(net, facilities, ep, ps)
+    hq = _facility_distances(net, facilities, eq, qs)
     network = inst.alpha * edge_pair_distance(net, dist, ep, eq, ps[:, None], qs[None, :])
     total = np.zeros_like(network)
     facility = inst.facility_index
@@ -325,10 +431,11 @@ def oracle_grid(
     Evaluates the coverage objective on a ``res`` x ``res`` grid (endpoints
     included, so ``res = 2`` samples the corners) over the rectangle of the
     restricted problem ``rp`` (only its ``seg_p`` and ``seg_q`` are read), or
-    over every unordered edge-pair rectangle of the network, evaluating each
-    term only on the samples where it may add its weight (see the module
-    docstring).  Halving the spacing reuses every existing sample, so refining
-    the grid never loses coverage.  By construction the result never exceeds
+    over every unordered edge-pair rectangle of the network, best first by
+    weight bound, sampling only what may beat the best sample found so far
+    and evaluating each term only on the samples where it may add its weight
+    (see the module docstring).  Halving the spacing reuses every existing
+    sample, so refining the grid never loses coverage.  By construction the result never exceeds
     the exact optimum.
     """
 
@@ -341,34 +448,39 @@ def oracle_grid(
         dist = all_pairs_shortest_paths(net)
     if rp is not None:
         return _segment_pair_grid(inst, rp, res, cov_tol, dist)
-    samples, nearest = _sample_edges(inst, res)
-    facility = inst.facility_index
+    grid = _Grid(inst, dist, res, cov_tol)
 
     # where an all-zero grid on the first edge pair would put the answer, so
     # samples outside every block need no evaluation (see the module docstring)
-    start = network_point(net, 0, samples[0][0][0])
-    best_value = 0.0
+    start = network_point(net, 0, grid.samples[0][0][0])
+    best_value, best_n = 0.0, 0
     best_points = (start, start)
-    for ei, ej, (rows, cols), terms in _live_terms(inst, dist, samples, nearest, cov_tol):
-        ps, hp = samples[ei][0][rows], samples[ei][1][:, rows]
-        qs, hq = samples[ej][0][cols], samples[ej][1][:, cols]
-        network = inst.alpha * edge_pair_distance(net, dist, ei, ej, ps[:, None], qs[None, :])
-        total = np.zeros_like(network)
-        for k, block12, block21 in terms:
-            pair = inst.pairs[k]
-            o, d = facility[pair.origin], facility[pair.dest]
-            level = pair.acceptance + cov_tol
-            covered = np.zeros(network.shape, dtype=bool)
-            if block12:
-                i, j = block12
-                covered[i, j] = (hp[o, i, None] + network[i, j]) + hq[d, j] <= level
-            if block21:
-                i, j = block21
-                covered[i, j] |= (hq[o, j] + network[i, j]) + hp[d, i, None] <= level
-            total[covered] += pair.weight
+
+    def beats(value, n):
+        # a larger value, or an equal one at a smaller edge-pair index
+        return (value > best_value) | ((value == best_value) & (n < best_n))
+
+    heap = [(-bound, n) for n, bound in enumerate(grid.bounds().tolist()) if bound > 0.0]
+    heapq.heapify(heap)
+    expanded = {}
+    while heap and beats(-heap[0][0], heap[0][1]):
+        _, n = heapq.heappop(heap)
+        if n not in expanded:
+            found = grid.terms(n)
+            if found is not None:
+                row_bounds = grid.row_bounds(*found)
+                expanded[n] = (*found, row_bounds)
+                heapq.heappush(heap, (-float(row_bounds.max()), n))
+            continue
+        box, terms, row_bounds = expanded.pop(n)
+        rows = np.flatnonzero(beats(row_bounds, n))
+        if not rows.size:
+            continue
+        total, ps, qs = grid.evaluate(n, box, terms, rows)
         value = float(total.max())
-        if value > best_value:
+        if beats(value, n):
             gi, gj = np.unravel_index(int(np.argmax(total)), total.shape)
-            best_value = value
+            best_value, best_n = value, n
+            ei, ej = int(grid.first[n]), int(grid.second[n])
             best_points = (network_point(net, ei, ps[gi]), network_point(net, ej, qs[gj]))
     return OracleResult(best_points[0], best_points[1], best_value)

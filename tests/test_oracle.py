@@ -1,6 +1,8 @@
 """The grid oracle's skip rule: the same answer, bit for bit, with less work."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,36 @@ def test_oracle_grid_equals_the_unskipped_reference(doc, res):
     assert (result.objective, result.x1, result.x2) == reference_oracle_grid(inst, res)
 
 
+def _bench_variants():
+    # the benchmark's reflected and relabelled instances: the same arithmetic
+    # as the base instance with other edge and pair orders, so other ties
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name while the module runs
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [
+        (f"{name}-seed{seed}-{k}", doc)
+        for name in ("suite20", "grid4")
+        for seed in (1, 2)
+        for k, doc in enumerate(workloads.workload_docs(name, seed))
+    ]
+
+
+VARIANTS = _bench_variants()
+
+
+@pytest.mark.parametrize("doc", [case[1] for case in VARIANTS], ids=[case[0] for case in VARIANTS])
+def test_oracle_grid_breaks_ties_as_the_reference_on_bench_variants(doc):
+    inst = parse_instance(doc)
+    result = oracle_grid(inst, res=200)
+    assert (result.objective, result.x1, result.x2) == reference_oracle_grid(inst, 200)
+
+
 def test_nothing_coverable_reports_zero_at_the_start_of_edge_0():
     doc = fig4_doc()
     doc["pairs"] = [{**pair, "d": 0.01} for pair in doc["pairs"]]
@@ -59,6 +91,16 @@ def test_nothing_coverable_reports_zero_at_the_start_of_edge_0():
     result = oracle_grid(inst, res=50)
     assert (result.objective, result.x1, result.x2) == (0.0, start, start)
     assert (result.objective, result.x1, result.x2) == reference_oracle_grid(inst, 50)
+
+
+def test_no_pairs_reports_zero_at_the_start_of_edge_0():
+    doc = fig4_doc()
+    doc["pairs"] = []
+    inst = parse_instance(doc)
+    start = network_point(inst.network, 0, 0.0)
+    result = oracle_grid(inst, res=5)
+    assert (result.objective, result.x1, result.x2) == (0.0, start, start)
+    assert (result.objective, result.x1, result.x2) == reference_oracle_grid(inst, 5)
 
 
 def _least_sampled_trips(inst, res):
@@ -102,26 +144,29 @@ def test_floors_and_blocks_hold_every_sample_the_reference_covers(doc, res):
     # the certification of the oracle's floors on every edge pair: each row
     # and column floor is at most its row or column of alpha * d, and each
     # term's blocks hold every sample the reference covers in that boarding
-    # order (a term not listed, or an edge pair not yielded, covers nothing)
+    # order (a term not listed, or an edge pair without blocks, covers
+    # nothing); and of its weight bounds: every sample total of the reference
+    # is at most its edge pair's bound and its row's bound
     inst = parse_instance(doc)
     net = inst.network
     dist = all_pairs_shortest_paths(net)
-    samples, nearest = oracle._sample_edges(inst, res)
-    evaluated = {
-        (ei, ej): (box, {k: (b12, b21) for k, b12, b21 in terms})
-        for ei, ej, box, terms in oracle._live_terms(inst, dist, samples, nearest, DEFAULT_COVERAGE_TOL)
-    }
+    grid = oracle._Grid(inst, dist, res, DEFAULT_COVERAGE_TOL)
+    bounds = grid.bounds()
+    n = 0
     for ei in range(len(net.edges)):
         ps = np.linspace(0.0, net.edges[ei].length, res)
         pxs, pys = _edge_positions(net, ei, ps)
         for ej in range(ei, len(net.edges)):
+            assert (grid.first[n], grid.second[n]) == (ei, ej)
             qs = np.linspace(0.0, net.edges[ej].length, res)
             qxs, qys = _edge_positions(net, ej, qs)
             network = inst.alpha * _reference_edge_pair_distance(net, dist, ei, ej, ps[:, None], qs[None, :])
             rfloor, cfloor = oracle._network_floors(net, dist, inst.alpha, ei, ej, ps, qs)
             assert np.all(rfloor <= network.min(axis=1)), (ei, ej)
             assert np.all(cfloor <= network.min(axis=0)), (ei, ej)
-            box, blocks = evaluated.get((ei, ej), ((slice(0, 0), slice(0, 0)), {}))
+            box, terms = grid.terms(n) or ((slice(0, 0), slice(0, 0)), [])
+            blocks = {k: (b12, b21) for k, b12, b21 in terms}
+            total = np.zeros_like(network)
             for k, pair in enumerate(inst.pairs):
                 a = inst.facility_position(pair.origin)
                 b = inst.facility_position(pair.dest)
@@ -132,6 +177,12 @@ def test_floors_and_blocks_hold_every_sample_the_reference_covers(doc, res):
                     if block:
                         outside[box][block] = False
                     assert not np.any(outside & (f <= pair.acceptance + DEFAULT_COVERAGE_TOL)), (ei, ej, k)
+                total[np.minimum(f12, f21) <= pair.acceptance + DEFAULT_COVERAGE_TOL] += pair.weight
+            assert total.max() <= bounds[n], (ei, ej)
+            if terms:
+                assert np.all(total[box].max(axis=1) <= grid.row_bounds(box, terms)), (ei, ej)
+            n += 1
+    assert n == len(bounds)
 
 
 def test_grid4_samples_fewer_edge_pairs_than_it_has(monkeypatch):
@@ -169,6 +220,26 @@ def test_grid4_samples_only_the_boxes_of_its_blocks(monkeypatch):
     assert oracle_grid(inst, res=200).objective == 11.0
     assert grids <= 115
     assert cells <= 2_482_578
+
+
+def test_grid4_samples_only_what_may_beat_the_incumbent(monkeypatch):
+    # best first by weight bound: the first box sampled reaches 11, and no
+    # other edge pair's bound beats it or ties it at a smaller index
+    grids = cells = 0
+    sample = oracle.edge_pair_distance
+
+    def counted(*args):
+        nonlocal grids, cells
+        network = sample(*args)
+        grids += 1
+        cells += network.size
+        return network
+
+    monkeypatch.setattr(oracle, "edge_pair_distance", counted)
+    inst = parse_instance(grid_instance_doc(4, 10, 12))
+    assert oracle_grid(inst, res=200).objective == 11.0
+    assert grids <= 1
+    assert cells <= 40_000
 
 
 def test_oracle_imports_nothing_of_the_solver():
