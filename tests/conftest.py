@@ -14,12 +14,14 @@ evaluator replaces, its yardstick.
 from __future__ import annotations
 
 import heapq
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tripcover import parse_instance
+from tripcover import cli, parse_instance
 from tripcover.fds_solver import (
     FdsSolution,
     RestrictedProblem,
@@ -509,3 +511,43 @@ def grid_instance_doc(n: int, n_facilities: int, n_pairs: int, seed: int = 0) ->
         ],
         "pairs": pairs,
     }
+
+
+# ---------------------------------------------------------------------------
+# the golden solve corpus
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def golden_docs() -> dict[str, dict]:
+    """The instances of the golden corpus, by file stem: the worked examples,
+    the random suite, three seeds scaled by 1e-3 and 1e6 and shifted by 1e6,
+    and two grid workloads."""
+
+    docs = {
+        "fig4": fig4_doc(),
+        "trapezoid-a0.3": trapezoid_doc(0.3),
+        "trapezoid-a0.4": trapezoid_doc(0.4),
+        "detour": detour_doc(),
+    }
+    docs.update((f"seed{seed}", random_instance_doc(seed)) for seed in SUITE_SEEDS)
+    for seed in (104, 107, 111):
+        for tag, transform in (
+            ("scale1e-3", {"scale": 1e-3}),
+            ("scale1e6", {"scale": 1e6}),
+            ("shift1e6", {"shift": 1e6}),
+        ):
+            docs[f"seed{seed}-{tag}"] = transformed_doc(random_instance_doc(seed), **transform)
+    for spec in ((3, 8, 30), (4, 10, 12)):
+        docs["grid{}-{}-{}".format(*spec)] = grid_instance_doc(*spec)
+    return docs
+
+
+def solve_document(doc: dict, directory: Path) -> str:
+    """The document ``tripcover solve`` writes for ``doc`` at its defaults,
+    without ``--timing``; ``directory`` holds the instance and the output."""
+
+    instance, out = directory / "instance.json", directory / "solve.json"
+    instance.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["solve", "--instance", str(instance), "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")

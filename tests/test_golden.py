@@ -1,0 +1,26 @@
+"""Every ``tripcover solve`` document of the golden corpus, byte for byte.
+
+The corpus (``tests/golden``, written by ``make_golden.py``) pins the
+objective, both transfer points, the covered pairs and every counter of the
+solve statistics, so a change meant to keep every answer shows any drift.
+"""
+
+import json
+
+import pytest
+
+from conftest import GOLDEN_DIR, golden_docs, solve_document
+
+DOCS = golden_docs()
+
+
+def test_corpus_holds_exactly_the_golden_instances():
+    files = {path.stem for path in GOLDEN_DIR.glob("*.json")}
+    assert files == set(DOCS) | {"versions"}
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_solve_document_matches_the_corpus(name, tmp_path):
+    expected = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    made_with = json.loads((GOLDEN_DIR / "versions.json").read_text())
+    assert solve_document(DOCS[name], tmp_path) == expected, f"corpus written with {made_with}"
