@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .fds_solver import restricted_problems, solve_global
-from .level_curves import curves_to_csv, trace_level_curve
-from .mixed_distance import ORIENTATIONS, branch_field, pair_domain
+from .level_curves import DEFAULT_TRACE_RES, curves_to_csv, trace_level_curve
+from .mixed_distance import DEFAULT_COVERAGE_TOL, ORIENTATIONS, branch_field, pair_domain
 from .model import (
     NetworkPoint,
     ProblemInstance,
@@ -47,8 +47,8 @@ class _Parser(argparse.ArgumentParser):
 # options that only some commands read; each command takes just its own
 _OPTIONS = {
     "--grid-res": dict(type=int, default=200, help="oracle grid points per axis"),
-    "--trace-res": dict(type=int, default=256, help="samples per curve arc"),
-    "--cov-tol": dict(type=float, default=1e-9, help="coverage test slack"),
+    "--trace-res": dict(type=int, default=DEFAULT_TRACE_RES, help="samples per curve arc"),
+    "--cov-tol": dict(type=float, default=DEFAULT_COVERAGE_TOL, help="coverage test slack"),
     "--jobs": dict(
         type=int, default=1, help="accepted and checked; every solve runs in this process"
     ),

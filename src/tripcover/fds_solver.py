@@ -28,22 +28,14 @@ combination of each two O/D pairs, crosses them in one
 the counts and deduplication of crossing each pair alone.
 
 The best candidate over all restricted problems solves the full problem.  The
-global solver finds it by a two-level branch-and-bound with one floor for every
-box, two whole edges or two segments (``_box_floors``, the box rule of Big
-Square Small Square).  On a box the network distance is the least of affine
-routes through the edges' ends (and the direct route on one edge), so in each
-slope class the trip length is separable and its floor is two closed-form axis
-floors (``axis_floor``) plus the least route constant, read from the table that
-also classifies a problem (``preprocess.route_constants``); on one interval
-twice a weak-duality relaxation of the direct route ``alpha*|x - y|`` gives the
-same shape, beside the routes through the ends of a whole edge.  The floors need
-no classification and bound the objective over the box (the weight of the pairs
-whose floor reaches the acceptance level).  One best-first search holds both
-levels: an edge pair's problems are bounded only once its own bound can still
-beat or tie the incumbent, and a problem is classified and solved only while
-its bound can.  Inside a problem the floors of its classified forms
-(``field_floors``) skip every field that cannot reach the level.  The answer is
-the one a full sweep returns.
+global solver finds it by a branch-and-bound over two kinds of box, the
+rectangles of two whole edges and of two segments, each with the certified
+objective bound of ``bounds.box_bounder``; the bounds need no classification.
+One best-first search holds both levels: an edge pair's problems are bounded
+only once its own bound can still beat or tie the incumbent, and a problem is
+classified and solved only while its bound can.  Inside a problem the floors of
+its classified forms (``bounds.field_floors``) skip every field that cannot
+reach the level.  The answer is the one a full sweep returns.
 """
 
 from __future__ import annotations
@@ -55,11 +47,11 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .bounds import box_bounder, exceeds, field_floors, rounding_scale
 from .level_curves import (
     DEFAULT_DEDUPE_RADIUS,
     DEFAULT_TRACE_RES,
@@ -81,13 +73,10 @@ from .mixed_distance import (
     DEFAULT_COVERAGE_TOL,
     ORIENTATIONS,
     PairDomain,
-    axis_argmin,
     branch_field,
     coverage_and_objective,
     coverage_weights,
     pair_domain,
-    project,
-    segment_geometry,
 )
 from .model import (
     ODPair,
@@ -101,7 +90,6 @@ from .preprocess import (
     Preprocessed,
     classify_segment_pair,
     preprocess_network,
-    route_constants,
 )
 # bench/run.py checks every answer with fds_solver.oracle_grid; the oracle lives
 # in its own module and shares no code with the solver
@@ -113,10 +101,6 @@ PROV_PAIR_CURVES = "pair-curves"
 PROV_CROSS_CURVES = "cross-curves"
 PROV_AUGMENT = "augment"
 PROV_FALLBACK = "fallback"
-
-#: relative rounding allowance of the floor tests in ``problem_bounds`` and
-#: ``_trace_pair``
-_BOUND_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -233,177 +217,6 @@ def restricted_problems(
     return problems
 
 
-def axis_floor(f, geom, c, length):
-    """Certified lower bound on ``min over t in [0, length] of |f - P(t)| + c*t``.
-
-    ``P(t) = geom.origin + t * geom.direction`` traces a segment at speed
-    ``s = |geom.direction|`` (below one when the edge is longer than its
-    chord).  The function is convex and ``axis_argmin`` gives its minimiser
-    in closed form.  The value returned is the tangent floor at that point,
-    ``u(t) + min(u'(t) * (0 - t), u'(t) * (length - t))``, which bounds ``u``
-    from below on the whole interval for any ``t``, so rounding in the
-    minimiser costs tightness, never validity.  Where ``f`` lies on the
-    segment's line the subgradient nearest ``-c`` stands in for ``u'``.
-    When ``|c| < s`` the floor is raised to the minimum over the whole line,
-    ``c*t0 + h*sqrt(s^2 - c^2)/s`` with ``t0`` the projection, which is exact
-    whenever the minimiser is inside the interval and, unlike the tangent,
-    stays tight when ``f`` is within rounding of the segment.
-
-    Every argument broadcasts: ``f`` is an ``(x, y)`` pair and ``geom``
-    anything with ``origin`` and ``direction`` pairs, of floats or arrays.
-    """
-
-    fx, fy = f
-    ox, oy = geom.origin
-    dx, dy = geom.direction
-    c = np.asarray(c, dtype=float)
-    length = np.asarray(length, dtype=float)
-    t0, h, s = project(f, geom)
-    s2 = s * s
-    interior = c * c < s2
-    t = axis_argmin(t0, h, s, c, length)
-    # the slope comes from the projection coordinates, not from the rounded
-    # vector f - P(t), which has no direction left where f is on the segment
-    delta = t - t0
-    rho = np.hypot(s * delta, h)
-    pull = np.where(rho > 0.0, s2 * delta / np.where(rho > 0.0, rho, 1.0), np.clip(-c, -s, s))
-    slope = pull + c
-    r = np.hypot(ox + dx * t - fx, oy + dy * t - fy)
-    tangent = r + c * t + np.minimum(slope * -t, slope * (length - t))
-    # near the kink (f almost on the segment) a rounding of t swings the
-    # slope; the minimum over the whole line does not depend on t at all
-    line = c * t0 + h * np.sqrt(np.where(interior, s2 - c * c, 0.0)) / np.where(s2 > 0.0, s, 1.0)
-    return np.where(interior, np.maximum(tangent, line), tangent)
-
-
-def _diagonal_multipliers(alpha: float) -> np.ndarray:
-    # lam = alpha turns the relaxation into the sum of the two separate
-    # facility-to-segment minima, so the best over the set is never looser
-    return np.union1d(np.linspace(0.0, 1.0 + alpha, 9), [alpha])
-
-
-def _segment_coefficients(alpha: float) -> np.ndarray:
-    """Coefficients ``alpha`` and ``-alpha`` of the affine network forms, then
-    ``lam - alpha`` and ``alpha - lam`` for every diagonal multiplier ``lam``."""
-
-    shift = _diagonal_multipliers(alpha) - alpha
-    return np.concatenate(([alpha, -alpha], shift, -shift))
-
-
-def _floor_table(inst: ProblemInstance, segments: Sequence[LinearArcSegment]) -> np.ndarray:
-    """``axis_floor`` of every facility on every segment, per coefficient.
-
-    Axis 0 follows ``inst.facilities``, axis 1 ``segments`` and axis 2
-    ``_segment_coefficients``.
-    """
-
-    facility = np.array([(f.position.x, f.position.y) for f in inst.facilities]).reshape(-1, 2)
-    geoms = [segment_geometry(inst.network, seg) for seg in segments]
-    segment = np.array([(*g.origin, *g.direction, g.length) for g in geoms])
-    ox, oy, dx, dy, length = segment.T[:, None, :, None]
-    lines = SimpleNamespace(origin=(ox, oy), direction=(dx, dy))
-    coef = _segment_coefficients(inst.alpha)
-    return axis_floor(facility.T[:, :, None, None], lines, coef, length)
-
-
-def _route_constants(
-    inst: ProblemInstance, prep: Preprocessed, segments: Sequence[LinearArcSegment], p, q
-) -> np.ndarray:
-    """``alpha`` times ``route_constants`` of every box ``segments[p[k]]`` ×
-    ``segments[q[k]]``, ``p <= q``.
-
-    On one interval twice ``_box_floors`` bounds the direct route ``|x - y|``
-    apart; the classes hold the routes through the ends on a whole edge of
-    several segments (one longer than the distance between its ends), and
-    ``inf`` on one linear arc segment, where none is shorter.
-    """
-
-    const = route_constants(inst.network, prep.dist, segments, p, q)
-    linear = p == q
-    linear[linear] = [segments[k] in prep.segments_by_edge[segments[k].edge] for k in p[linear]]
-    const[linear] = np.inf
-    return inst.alpha * const
-
-
-def _box_floors(
-    inst: ProblemInstance, table: np.ndarray, p, q, const: np.ndarray, same
-) -> Iterator[np.ndarray]:
-    """Floor of every pair's trip length on every box, per boarding order and
-    slope class.
-
-    ``p``/``q`` are the columns of each box's two intervals in ``table`` and
-    ``const`` their ``(boxes, 2, 2)`` constants (``_route_constants``).
-    Yields one ``(boxes, 2, 2, 2)`` array per pair, in pair order, indexed by
-    box, boarding order (``"12"``, ``"21"``) and slope class.  Off ``same`` a
-    class's field is ``u(x) + v(y) + const``, each axis term a distance plus
-    ``±alpha`` times its coordinate, so its floor is two axis floors plus the
-    constant.  On a ``same`` box (one interval twice), adding ``lam*(x - y)
-    <= 0`` on the triangle ``x <= y`` (``lam*(y - x)`` on ``x >= y``) to the
-    direct route ``alpha*|x - y|`` for any ``lam >= 0`` leaves a separable
-    lower bound; every class holds the lesser of its own floor and the lesser
-    triangle's best bound over the multipliers.
-    """
-
-    m = (table.shape[2] - 2) // 2
-    up = table[:, p[same], 2 : 2 + m]  # coefficient lam - alpha
-    down = table[:, p[same], 2 + m :]  # coefficient alpha - lam
-    row = inst.facility_index
-    for pair in inst.pairs:
-        a, b = row[pair.origin], row[pair.dest]
-        out = np.empty((len(p), 2, 2, 2))
-        for k, (fp, fq) in enumerate(((a, b), (b, a))):
-            # columns 0 and 1 of the table hold coefficients +alpha and -alpha
-            out[:, k] = (table[fp, p, :2][:, :, None] + table[fq, q, :2][:, None, :]) + const
-            direct = np.minimum((up[fp] + down[fq]).max(axis=1), (down[fp] + up[fq]).max(axis=1))
-            out[same, k] = np.minimum(out[same, k], direct[:, None, None])
-        yield out
-
-
-def field_floors(inst: ProblemInstance, rp: RestrictedProblem) -> list[dict[str, np.ndarray]]:
-    """Certified floor of every branch field of every pair on one problem.
-
-    One dict per pair, mapping each boarding order to the floors of the
-    problem's branches (``pc.branches``) over the rectangle, one per form.
-    Each form's ``alpha*c0`` stands in its slope class of ``_box_floors``
-    (``inf`` in the others), whose floor of that class is then the branch
-    field's; the diagonal floor stands in every class.
-    """
-
-    table = _floor_table(inst, [rp.seg_p, rp.seg_q])
-    pc = rp.domain.pair_class
-    const = np.full((1, 2, 2), np.inf)
-    slots = [((1 - form.cx) // 2, (1 - form.cy) // 2) for form in pc.forms] or [(0, 0)]
-    for form, (kx, ky) in zip(pc.forms, slots):
-        const[0, kx, ky] = inst.alpha * form.c0
-    kx, ky = np.array(slots).T
-    floors = _box_floors(inst, table, np.array([0]), np.array([1]), const, np.array([pc.diagonal]))
-    return [{o: f[0, k, kx, ky] for k, o in enumerate(ORIENTATIONS)} for f in floors]
-
-
-def _rounding_scale(inst: ProblemInstance) -> float:
-    """Magnitude that bounds every coordinate and every network distance term."""
-
-    points = [v.position for v in inst.network.vertices]
-    points += [f.position for f in inst.facilities]
-    lengths = [e.length for e in inst.network.edges]
-    return max(
-        max(max(abs(pt.x), abs(pt.y)) for pt in points),
-        sum(lengths) + 2.0 * max(lengths),
-    )
-
-
-def _exceeds(floor, level: float, scale: float):
-    """Whether a trip-length floor certifiably exceeds ``level``.
-
-    The allowance, a fixed multiple of the machine epsilon times the largest
-    of the floor, the level and the instance scale, covers the rounding of
-    the trip lengths that the coverage test and the fields evaluate.
-    """
-
-    allowance = _BOUND_ROUNDING * np.maximum(np.maximum(np.abs(floor), level), scale)
-    return floor > level + allowance
-
-
 @dataclass
 class _PairCurves:
     curves: dict[tuple[str, str], LevelCurve]
@@ -435,7 +248,7 @@ def _trace_pair(
     out = _PairCurves({}, [], [])
     for orientation in ORIENTATIONS:
         for k, branch in enumerate(rp.domain.pair_class.branches):
-            if _exceeds(floors[orientation][k], level + 1e-12, scale):
+            if exceeds(floors[orientation][k], level + 1e-12, scale):
                 continue
             field = branch_field(inst, rp.domain, pair, orientation, branch)
             if max(float(field(x, y)) for x, y in field.corners) <= level:
@@ -580,7 +393,7 @@ def solve_restricted(
         "bound_exceeded": 0,
     }
     floors = field_floors(inst, rp)
-    scale = _rounding_scale(inst)
+    scale = rounding_scale(inst)
     bundles = [
         _trace_pair(inst, rp, pair, floor, scale, trace_res)
         for pair, floor in zip(inst.pairs, floors)
@@ -668,84 +481,6 @@ def solve_restricted(
     )
 
 
-def _whole_edges(inst: ProblemInstance) -> list[LinearArcSegment]:
-    """Every edge as one segment: the intervals of the edge-pair boxes."""
-
-    return [LinearArcSegment(e, 0.0, edge.length, 0) for e, edge in enumerate(inst.network.edges)]
-
-
-def _box_bounder(
-    inst: ProblemInstance, prep: Preprocessed, segments: Sequence[LinearArcSegment], cov_tol: float
-):
-    """``bounds(p, q)``: a certified upper bound on the objective over every
-    box ``segments[p[k]]`` × ``segments[q[k]]``, ``p <= q``.
-
-    The weight of the pairs whose least ``_box_floors`` value is within
-    ``acceptance + cov_tol`` plus the rounding allowance of ``_exceeds``, so
-    no pair that the coverage test would count is left out.  Weights are
-    summed in pair order, as ``coverage_weights`` and
-    ``coverage_and_objective`` sum them, so the bound is at least every
-    objective on the box in floating point too.  The ``axis_floor`` table is
-    built once, for all the boxes bounded later.
-    """
-
-    table = _floor_table(inst, segments)
-    scale = _rounding_scale(inst)
-
-    def bounds(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        const = _route_constants(inst, prep, segments, p, q)
-        out = np.zeros(len(p))
-        for pair, floors in zip(inst.pairs, _box_floors(inst, table, p, q, const, p == q)):
-            lb = floors.min(axis=(1, 2, 3))
-            out += pair.weight * ~_exceeds(lb, pair.acceptance + cov_tol, scale)
-        return out
-
-    return bounds
-
-
-def problem_bounds(
-    inst: ProblemInstance,
-    prep: Preprocessed,
-    problems: Sequence[RestrictedProblem],
-    cov_tol: float = DEFAULT_COVERAGE_TOL,
-) -> list[float]:
-    """Certified upper bound on the objective of every restricted problem:
-    the ``_box_bounder`` bound of its two segments."""
-
-    column = {seg: k for k, seg in enumerate(prep.segments)}
-    p = np.array([column[rp.seg_p] for rp in problems], dtype=int)
-    q = np.array([column[rp.seg_q] for rp in problems], dtype=int)
-    return _box_bounder(inst, prep, prep.segments, cov_tol)(p, q).tolist()
-
-
-def edge_pair_floors(inst: ProblemInstance, prep: Preprocessed) -> Iterator[np.ndarray]:
-    """Floor of every pair's trip length over every edge-pair rectangle.
-
-    Yields one array per pair, in pair order, over the edge pairs ``(e, f)``,
-    ``e <= f``, in ``np.triu_indices`` order: the least ``_box_floors`` value
-    on the box of the two whole edges.
-    """
-
-    edges = _whole_edges(inst)
-    table = _floor_table(inst, edges)
-    first, second = np.triu_indices(len(edges))
-    const = _route_constants(inst, prep, edges, first, second)
-    for floors in _box_floors(inst, table, first, second, const, first == second):
-        yield floors.min(axis=(1, 2, 3))
-
-
-def edge_pair_bounds(
-    inst: ProblemInstance, prep: Preprocessed, cov_tol: float = DEFAULT_COVERAGE_TOL
-) -> dict[tuple[int, int], float]:
-    """Certified upper bound on the objective of every restricted problem of
-    each edge pair ``(e, f)``, ``e <= f``: the ``_box_bounder`` bound of the
-    two whole edges."""
-
-    first, second = np.triu_indices(len(inst.network.edges))
-    bounds = _box_bounder(inst, prep, _whole_edges(inst), cov_tol)(first, second)
-    return dict(zip(zip(first.tolist(), second.tolist()), bounds.tolist()))
-
-
 def _rank(sol: FdsSolution) -> tuple[float, int, float, float]:
     """Sort key of the global reduction: best objective, then problem index, then point."""
 
@@ -789,14 +524,17 @@ def _best_first(inst: ProblemInstance, prep: Preprocessed, cov_tol: float, param
 
     n = len(prep.segments)
     starts = _edge_starts(prep)
+    # columns of box_bounder: the whole edges, then the segments
+    edges = len(inst.network.edges)
+    box_bounds = box_bounder(inst, prep, cov_tol)
+    first, second = np.triu_indices(edges)
     # (-bound, index, pair, is_problem): pair is an edge pair (e, f) or, for
     # a problem, its segment pair (a, b)
     heap = [
         (-bound, _rp_index(n, starts[e], starts[f]), (e, f), False)
-        for (e, f), bound in edge_pair_bounds(inst, prep, cov_tol).items()
+        for e, f, bound in zip(first.tolist(), second.tolist(), box_bounds(first, second).tolist())
     ]
     heapq.heapify(heap)
-    member_bounds = _box_bounder(inst, prep, prep.segments, cov_tol)
     out = _Search(None, None, [], 0, 0)
 
     while heap and _may_win(-heap[0][0], heap[0][1], out.best):
@@ -811,7 +549,7 @@ def _best_first(inst: ProblemInstance, prep: Preprocessed, cov_tol: float, param
         a, b = _members(prep, *pair)
         out.edge_pairs += 1
         out.bounded += len(a)
-        for i, j, bound in zip(a.tolist(), b.tolist(), member_bounds(a, b).tolist()):
+        for i, j, bound in zip(a.tolist(), b.tolist(), box_bounds(a + edges, b + edges).tolist()):
             bound = min(bound, -negated)
             heapq.heappush(heap, (-bound, _rp_index(n, i, j), (i, j), True))
     return out
@@ -826,12 +564,12 @@ def solve_global(
 ) -> tuple[Solution, dict]:
     """Solve the full problem by branch-and-bound over the restricted problems.
 
-    The search has two levels.  Every edge pair gets an ``edge_pair_bounds``
-    bound first; an edge pair's restricted problems get their
-    ``problem_bounds`` bound (capped by the edge pair's) only when it comes
-    first in descending bound order (ties by index) and can still beat or tie
-    the incumbent under the reduction order: best objective, ties by problem
-    index then lexicographic point.  Problems are classified and solved in
+    The search has two levels.  Every edge pair gets the ``box_bounder``
+    bound of its two whole edges first; an edge pair's restricted problems
+    get the bound of their two segments (capped by the edge pair's) only when
+    it comes first in descending bound order (ties by index) and can still
+    beat or tie the incumbent under the reduction order: best objective, ties
+    by problem index then lexicographic point.  Problems are classified and solved in
     the same order, under the same test; neither bound needs a
     classification.  The result is therefore the one a sweep over every
     problem returns.  Every problem is solved in this process; ``jobs`` is

@@ -424,7 +424,6 @@ def oracle_grid(
     res: int = 200,
     rp=None,
     cov_tol: float = DEFAULT_COVERAGE_TOL,
-    dist: np.ndarray | None = None,
 ) -> OracleResult:
     """Brute-force grid lower bound on the optimal objective.
 
@@ -444,8 +443,7 @@ def oracle_grid(
     _check_cov_tol(cov_tol)
 
     net = inst.network
-    if dist is None:
-        dist = all_pairs_shortest_paths(net)
+    dist = all_pairs_shortest_paths(net)
     if rp is not None:
         return _segment_pair_grid(inst, rp, res, cov_tol, dist)
     grid = _Grid(inst, dist, res, cov_tol)

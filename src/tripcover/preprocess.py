@@ -7,8 +7,8 @@ so the network distance restricted to a pair of such *linear arc segments*
 is the minimum of affine forms, one per route through the edges' ends (and
 the direct route on one edge).  This module computes the vertex distance
 matrix, the per-edge bottleneck partition, the route constants of any boxes
-(``route_constants``, which the solver's floors read too) and, for any two
-segments, the non-dominated route classes as explicit affine forms: two
+(``route_constants``, which the floors of ``bounds`` read too) and, for any
+two segments, the non-dominated route classes as explicit affine forms: two
 forms on a concave pair, one on a linear pair, none on a segment with itself.
 """
 
@@ -26,6 +26,7 @@ from .model import Network
 MERGE_TOL = 1e-9
 
 #: relative rounding allowance of the dominance test between route classes
+#: and of the floor tests of ``bounds``
 _ROUTE_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 #: the slope classes (out of the first edge, into the second), 0 for ``u``
