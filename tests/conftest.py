@@ -522,7 +522,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 def golden_docs() -> dict[str, dict]:
     """The instances of the golden corpus, by file stem: the worked examples,
     the random suite, three seeds scaled by 1e-3 and 1e6 and shifted by 1e6,
-    and two grid workloads."""
+    and four grid workloads."""
 
     docs = {
         "fig4": fig4_doc(),
@@ -538,7 +538,7 @@ def golden_docs() -> dict[str, dict]:
             ("shift1e6", {"shift": 1e6}),
         ):
             docs[f"seed{seed}-{tag}"] = transformed_doc(random_instance_doc(seed), **transform)
-    for spec in ((3, 8, 30), (4, 10, 12)):
+    for spec in ((3, 8, 30), (4, 10, 12), (5, 15, 60), (8, 30, 200)):
         docs["grid{}-{}-{}".format(*spec)] = grid_instance_doc(*spec)
     return docs
 

@@ -12,6 +12,8 @@ import pytest
 from conftest import GOLDEN_DIR, golden_docs, solve_document
 
 DOCS = golden_docs()
+# about a second each to solve: run with -m slow
+SLOW = {"grid8-30-200"}
 
 
 def test_corpus_holds_exactly_the_golden_instances():
@@ -19,7 +21,9 @@ def test_corpus_holds_exactly_the_golden_instances():
     assert files == set(DOCS) | {"versions"}
 
 
-@pytest.mark.parametrize("name", sorted(DOCS))
+@pytest.mark.parametrize(
+    "name", [pytest.param(n, marks=pytest.mark.slow) if n in SLOW else n for n in sorted(DOCS)]
+)
 def test_solve_document_matches_the_corpus(name, tmp_path):
     expected = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     made_with = json.loads((GOLDEN_DIR / "versions.json").read_text())
