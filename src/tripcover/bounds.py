@@ -5,17 +5,17 @@ linear arc segments, the box rule of Big Square Small Square.  On a box the
 network distance is the least of affine routes through the edges' ends (and
 the direct route on one edge), so in each slope class the trip length is
 separable and its floor is two closed-form axis floors (``axis_floor``) plus
-the least route constant, read from the table that also classifies a problem
-(``preprocess.route_constants``); on one interval twice a weak-duality
-relaxation of the direct route ``alpha*|x - y|`` gives the same shape, beside
-the routes through the ends of a whole edge (``_box_floors``).  The floors
-need no classification.  ``box_bounder`` turns them into a bound on the
-objective over every box, the weight of the pairs whose floor reaches the
-acceptance level, and ``field_floors`` gives the floor of every branch field
-of one classified problem.  A floor exceeds a level only beyond the rounding
-allowance of ``exceeds``.
+the least route constant (``preprocess.route_constants``); on one interval
+twice a weak-duality relaxation of the direct route ``alpha*|x - y|`` gives
+the same shape.  ``_box_floors`` forms the floors of many pairs on many boxes
+in one array pass, pair axis first.  ``box_bounder`` holds the axis floors of
+every column and turns the floors into a bound on the objective over every
+box, the weight of the pairs whose floor reaches the acceptance level, at
+most ``_CHUNK`` (pair, box) entries at a time; ``field_floors`` reads two of
+its columns for the floor of every branch field of one classified problem.
+The floors need no classification, and one exceeds a level only beyond the
+rounding allowance of ``exceeds``.
 """
-
 from __future__ import annotations
 
 from types import SimpleNamespace
@@ -23,9 +23,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .mixed_distance import ORIENTATIONS, axis_argmin, project, segment_geometry
+from .mixed_distance import axis_argmin, project, segment_geometry
 from .model import ProblemInstance
 from .preprocess import _ROUTE_ROUNDING, LinearArcSegment, Preprocessed, route_constants
+from .preprocess import _route_columns
+
+#: most (pair, box) entries a ``box_bounder`` call forms at once
+_CHUNK = 1 << 16
 
 
 def axis_floor(f, geom, c, length):
@@ -101,79 +105,69 @@ def _floor_table(inst: ProblemInstance, segments: Sequence[LinearArcSegment]) ->
     return axis_floor(facility.T[:, :, None, None], lines, coef, length)
 
 
-def _route_constants(
-    inst: ProblemInstance, prep: Preprocessed, segments: Sequence[LinearArcSegment], p, q
-) -> np.ndarray:
-    """``alpha`` times ``route_constants`` of every box ``segments[p[k]]`` ×
-    ``segments[q[k]]``, ``p <= q``.
-
-    On one interval twice ``_box_floors`` bounds the direct route ``|x - y|``
-    apart; the classes hold the routes through the ends on a whole edge of
-    several segments (one longer than the distance between its ends), and
-    ``inf`` on one linear arc segment, where none is shorter.
-    """
-
-    const = route_constants(inst.network, prep.dist, segments, p, q)
-    linear = p == q
-    linear[linear] = [segments[k] in prep.segments_by_edge[segments[k].edge] for k in p[linear]]
-    const[linear] = np.inf
-    return inst.alpha * const
-
-
-def _box_floors(
-    inst: ProblemInstance, table: np.ndarray, p, q, const: np.ndarray, same
-) -> Iterator[np.ndarray]:
+def _box_floors(table: np.ndarray, ends: np.ndarray, p, q, const: np.ndarray, same) -> np.ndarray:
     """Floor of every pair's trip length on every box, per boarding order and
     slope class.
 
-    ``p``/``q`` are the columns of each box's two intervals in ``table`` and
-    ``const`` their ``(boxes, 2, 2)`` constants (``_route_constants``).
-    Yields one ``(boxes, 2, 2, 2)`` array per pair, in pair order, indexed by
-    box, boarding order (``"12"``, ``"21"``) and slope class.  Off ``same`` a
-    class's field is ``u(x) + v(y) + const``, each axis term a distance plus
-    ``±alpha`` times its coordinate, so its floor is two axis floors plus the
-    constant.  On a ``same`` box (one interval twice), adding ``lam*(x - y)
-    <= 0`` on the triangle ``x <= y`` (``lam*(y - x)`` on ``x >= y``) to the
-    direct route ``alpha*|x - y|`` for any ``lam >= 0`` leaves a separable
-    lower bound; every class holds the lesser of its own floor and the lesser
-    triangle's best bound over the multipliers.
+    ``ends`` holds each pair's origin and destination rows in ``table``,
+    ``p``/``q`` the columns of each box's two intervals and ``const`` their
+    ``(boxes, 2, 2)`` route constants.  Returns one ``(pairs, boxes, 2, 2,
+    2)`` array, indexed by pair, box, boarding order (``"12"``, ``"21"``) and
+    slope class; ``box_bounder`` passes at most ``_CHUNK`` (pair, box)
+    entries at once.  Off ``same`` a class's field is ``u(x) + v(y) +
+    const``, each axis term a distance plus ``±alpha`` times its coordinate,
+    so its floor is two axis floors plus the constant.  On a ``same`` box
+    (one interval twice), adding ``lam*(x - y) <= 0`` on the triangle ``x <=
+    y`` (``lam*(y - x)`` on ``x >= y``) to the direct route ``alpha*|x - y|``
+    for any ``lam >= 0`` leaves a separable lower bound; every class holds
+    the lesser of its own floor and the lesser triangle's best bound over the
+    multipliers.
     """
 
     m = (table.shape[2] - 2) // 2
-    up = table[:, p[same], 2 : 2 + m]  # coefficient lam - alpha
-    down = table[:, p[same], 2 + m :]  # coefficient alpha - lam
+    ps = p[same]
+    up, down = table[:, :, 2 : 2 + m], table[:, :, 2 + m :]  # lam - alpha, alpha - lam
+    out = np.empty((len(ends), len(p), 2, 2, 2))
+    a, b = ends[:, :1], ends[:, 1:]
+    for k, (fp, fq) in enumerate(((a, b), (b, a))):
+        # columns 0 and 1 of the table hold coefficients +alpha and -alpha
+        out[:, :, k] = (table[fp, p, :2][..., None] + table[fq, q, :2][..., None, :]) + const
+        tri = (up[fp, ps] + down[fq, ps]).max(axis=2)
+        direct = np.minimum(tri, (down[fp, ps] + up[fq, ps]).max(axis=2))
+        out[:, same, k] = np.minimum(out[:, same, k], direct[..., None, None])
+    return out
+
+
+def _pair_rows(inst: ProblemInstance) -> np.ndarray:
+    """Rows of every pair's origin and destination in ``_floor_table``."""
+
     row = inst.facility_index
-    for pair in inst.pairs:
-        a, b = row[pair.origin], row[pair.dest]
-        out = np.empty((len(p), 2, 2, 2))
-        for k, (fp, fq) in enumerate(((a, b), (b, a))):
-            # columns 0 and 1 of the table hold coefficients +alpha and -alpha
-            out[:, k] = (table[fp, p, :2][:, :, None] + table[fq, q, :2][:, None, :]) + const
-            direct = np.minimum((up[fp] + down[fq]).max(axis=1), (down[fp] + up[fq]).max(axis=1))
-            out[same, k] = np.minimum(out[same, k], direct[:, None, None])
-        yield out
+    return np.array([(row[p.origin], row[p.dest]) for p in inst.pairs], dtype=int).reshape(-1, 2)
 
 
-def field_floors(inst: ProblemInstance, rp) -> list[dict[str, np.ndarray]]:
+def field_floors(inst: ProblemInstance, rp, table: np.ndarray | None = None) -> np.ndarray:
     """Certified floor of every branch field of every pair on one restricted
     problem ``rp`` (a ``fds_solver.RestrictedProblem``).
 
-    One dict per pair, mapping each boarding order to the floors of the
-    problem's branches (``pc.branches``) over the rectangle, one per form.
-    Each form's ``alpha*c0`` stands in its slope class of ``_box_floors``
-    (``inf`` in the others), whose floor of that class is then the branch
-    field's; the diagonal floor stands in every class.
+    A ``(pairs, 2, branches)`` array: per pair and boarding order, the floors
+    of the problem's branches (``pc.branches``) over the rectangle, one per
+    form.  ``table`` is the ``_floor_table`` of the two segments, columns
+    ``rp.seg_p`` and ``rp.seg_q``, as ``box_bounder`` holds them; it is built
+    when not given.  Each form's ``alpha*c0`` stands in its slope class of
+    ``_box_floors`` (``inf`` in the others), whose floor of that class is then
+    the branch field's; the diagonal floor stands in every class.
     """
 
-    table = _floor_table(inst, [rp.seg_p, rp.seg_q])
+    table = _floor_table(inst, [rp.seg_p, rp.seg_q]) if table is None else table
     pc = rp.domain.pair_class
     const = np.full((1, 2, 2), np.inf)
     slots = [((1 - form.cx) // 2, (1 - form.cy) // 2) for form in pc.forms] or [(0, 0)]
     for form, (kx, ky) in zip(pc.forms, slots):
         const[0, kx, ky] = inst.alpha * form.c0
     kx, ky = np.array(slots).T
-    floors = _box_floors(inst, table, np.array([0]), np.array([1]), const, np.array([pc.diagonal]))
-    return [{o: f[0, k, kx, ky] for k, o in enumerate(ORIENTATIONS)} for f in floors]
+    one, same = np.array([0]), np.array([pc.diagonal])
+    floors = _box_floors(table, _pair_rows(inst), one, one + 1, const, same)
+    return floors[:, 0][:, :, kx, ky]
 
 
 def rounding_scale(inst: ProblemInstance) -> float:
@@ -206,7 +200,7 @@ def _whole_edges(inst: ProblemInstance) -> list[LinearArcSegment]:
     return [LinearArcSegment(e, 0.0, edge.length, 0) for e, edge in enumerate(inst.network.edges)]
 
 
-def box_bounder(inst: ProblemInstance, prep: Preprocessed, cov_tol: float):
+class box_bounder:
     """``bounds(p, q)``: a certified upper bound on the objective over every
     box of the columns ``p[k] <= q[k]``.
 
@@ -217,20 +211,43 @@ def box_bounder(inst: ProblemInstance, prep: Preprocessed, cov_tol: float):
     no pair that the coverage test would count is left out.  Weights are
     summed in pair order, as ``coverage_weights`` and
     ``coverage_and_objective`` sum them, so the bound is at least every
-    objective on the box in floating point too.  The ``axis_floor`` table is
-    built once, for all the boxes bounded later.
+    objective on the box in floating point too.  The ``axis_floor`` table
+    (``bounds.table``), the per-column arrays of ``route_constants`` and the
+    flags of the columns that are one linear arc segment are built once, for
+    every box bounded later; the table also gives the ``field_floors`` of
+    every problem solved.
     """
 
-    segments = _whole_edges(inst) + list(prep.segments)
-    table = _floor_table(inst, segments)
-    scale = rounding_scale(inst)
+    def __init__(self, inst: ProblemInstance, prep: Preprocessed, cov_tol: float):
+        segments = _whole_edges(inst) + list(prep.segments)
+        self.alpha, self.dist = inst.alpha, prep.dist
+        self.table = _floor_table(inst, segments)
+        self.columns = _route_columns(inst.network, segments)
+        self.linear = np.array([seg in prep.segments_by_edge[seg.edge] for seg in segments])
+        self.rows = _pair_rows(inst)
+        self.weights = [pair.weight for pair in inst.pairs]
+        self.levels = np.array([pair.acceptance + cov_tol for pair in inst.pairs])
+        self.scale = rounding_scale(inst)
 
-    def bounds(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        const = _route_constants(inst, prep, segments, p, q)
+    def floors(self, p: np.ndarray, q: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """``_box_floors`` of the boxes ``p[k] <= q[k]`` for a slice of the
+        pairs at a time, at most ``_CHUNK`` (pair, box) entries, with the slice.
+        On one interval twice the route classes hold the routes through the
+        ends of a whole edge of several segments (one longer than the distance
+        between its ends), and ``inf`` on one linear arc segment."""
+
+        const = route_constants(self.dist, self.columns, p, q)
+        const[(p == q) & self.linear[p]] = np.inf
+        const *= self.alpha
+        step = max(1, _CHUNK // max(len(p), 1))
+        for start in range(0, len(self.rows), step):
+            pairs = slice(start, start + step)
+            yield pairs, _box_floors(self.table, self.rows[pairs], p, q, const, p == q)
+
+    def __call__(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         out = np.zeros(len(p))
-        for pair, floors in zip(inst.pairs, _box_floors(inst, table, p, q, const, p == q)):
-            lb = floors.min(axis=(1, 2, 3))
-            out += pair.weight * ~exceeds(lb, pair.acceptance + cov_tol, scale)
+        for pairs, floors in self.floors(p, q):
+            keep = ~exceeds(floors.min(axis=(2, 3, 4)), self.levels[pairs, None], self.scale)
+            for weight, kept in zip(self.weights[pairs], keep):
+                out += weight * kept
         return out
-
-    return bounds

@@ -228,27 +228,26 @@ def _trace_pair(
     inst: ProblemInstance,
     rp: RestrictedProblem,
     pair: ODPair,
-    floors: Mapping[str, np.ndarray],
-    scale: float,
+    live: np.ndarray,
     trace_res: int,
 ) -> _PairCurves:
     """Trace the nonempty boundary curves of one pair on one domain.
 
-    A field whose floor (``floors[orientation][k]`` for its ``k``-th branch,
-    from ``field_floors``) exceeds the level plus the minimiser test's
-    ``1e-12`` and the rounding allowance can yield neither a minimiser
-    candidate nor a curve.  A convex field attains its maximum over the
-    domain at a corner, so a corner maximum below the level certifies an
-    empty boundary.  Otherwise the closed-form minimiser is a candidate when
-    its value is within ``1e-12`` of the level, and the curve exists when
-    the minimum is below it.
+    ``live[o, k]`` is false for the field of ``ORIENTATIONS[o]`` and branch
+    ``k`` when its floor (``field_floors``) exceeds the level plus the
+    minimiser test's ``1e-12`` and the rounding allowance: it can yield
+    neither a minimiser candidate nor a curve.  A convex field attains its
+    maximum over the domain at a corner, so a corner maximum below the level
+    certifies an empty boundary.  Otherwise the closed-form minimiser is a
+    candidate when its value is within ``1e-12`` of the level, and the curve
+    exists when the minimum is below it.
     """
 
     level = pair.acceptance
     out = _PairCurves({}, [], [])
-    for orientation in ORIENTATIONS:
+    for o, orientation in enumerate(ORIENTATIONS):
         for k, branch in enumerate(rp.domain.pair_class.branches):
-            if exceeds(floors[orientation][k], level + 1e-12, scale):
+            if not live[o, k]:
                 continue
             field = branch_field(inst, rp.domain, pair, orientation, branch)
             if max(float(field(x, y)) for x, y in field.corners) <= level:
@@ -376,13 +375,15 @@ def solve_restricted(
     *,
     trace_res: int = DEFAULT_TRACE_RES,
     cov_tol: float = DEFAULT_COVERAGE_TOL,
+    floor_table: np.ndarray | None = None,
 ) -> FdsSolution:
     """Assemble the candidate set of one restricted problem and pick its best.
 
     Ties on the objective break lexicographically (smaller x, then smaller y);
     a zero objective returns the fallback point, since every point of the
-    rectangle is then optimal.  Raises ``ValueError``, before any work, on
-    the parameters ``solve_global`` rejects.
+    rectangle is then optimal.  ``floor_table`` is the search's floor table
+    at the problem's two segments (``field_floors`` builds it if not given).
+    Raises ``ValueError``, before any work, on what ``solve_global`` rejects.
     """
 
     _check_parameters(trace_res, cov_tol)
@@ -392,12 +393,10 @@ def solve_restricted(
         "max_curve_pair_intersections": 0,
         "bound_exceeded": 0,
     }
-    floors = field_floors(inst, rp)
-    scale = rounding_scale(inst)
-    bundles = [
-        _trace_pair(inst, rp, pair, floor, scale, trace_res)
-        for pair, floor in zip(inst.pairs, floors)
-    ]
+    levels = np.array([pair.acceptance for pair in inst.pairs]) + 1e-12
+    floors = field_floors(inst, rp, floor_table)
+    live = ~exceeds(floors, levels[:, None, None], rounding_scale(inst))
+    bundles = [_trace_pair(inst, rp, pair, on, trace_res) for pair, on in zip(inst.pairs, live)]
     counters["curves"] = sum(len(bundle.curves) for bundle in bundles)
 
     # every curve pair of every O/D pair and of every two O/D pairs with
@@ -541,7 +540,8 @@ def _best_first(inst: ProblemInstance, prep: Preprocessed, cov_tol: float, param
         negated, _, pair, is_problem = heapq.heappop(heap)
         if is_problem:
             rp = restricted_problems(inst, prep, pairs=[pair])[0]
-            sol = solve_restricted(inst, rp, **params)
+            table = box_bounds.table[:, [edges + pair[0], edges + pair[1]]]
+            sol = solve_restricted(inst, rp, floor_table=table, **params)
             out.solved.append(sol)
             if out.best is None or _rank(sol) < _rank(out.best):
                 out.best, out.problem = sol, rp

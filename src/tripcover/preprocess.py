@@ -232,15 +232,26 @@ def _same_interval(a: LinearArcSegment, b: LinearArcSegment) -> bool:
     )
 
 
-def route_constants(
-    net: Network, dist: np.ndarray, segments: Sequence[LinearArcSegment], p, q
-) -> np.ndarray:
+def _route_columns(net: Network, segments: Sequence[LinearArcSegment]) -> tuple[np.ndarray, ...]:
+    """The per-segment arrays of ``route_constants``: edge, start, edge
+    length, end vertex indices ``(u, w)`` and offsets ``(start, L - start)``."""
+
+    idx = net.vertex_index
+    edges = [net.edges[seg.edge] for seg in segments]
+    start, length = np.array([seg.start for seg in segments]), np.array([e.length for e in edges])
+    ends = np.array([(idx[e.u], idx[e.w]) for e in edges])
+    edge = np.array([seg.edge for seg in segments])
+    return edge, start, length, ends, np.stack([start, length - start], axis=1)
+
+
+def route_constants(dist: np.ndarray, columns: tuple[np.ndarray, ...], p, q) -> np.ndarray:
     """Least route constant of every box, per slope class.
 
-    Box ``k`` is ``segments[p[k]]`` × ``segments[q[k]]``.  A route leaves the
-    first segment's edge through end ``u`` (its length from ``x`` has slope
-    +1 in ``x``) or ``w`` (slope -1) and enters the second's the same way, so
-    it is affine in the local coordinates.  Through end ``i`` of the first
+    Box ``k`` is segment ``p[k]`` × segment ``q[k]`` of ``columns``, the
+    ``_route_columns`` of a segment list.  A route leaves the first
+    segment's edge through end ``u`` (its length from ``x`` has slope +1 in
+    ``x``) or ``w`` (slope -1) and enters the second's the same way, so it
+    is affine in the local coordinates.  Through end ``i`` of the first
     edge its constant is ``off_p[i] + (D[i, u_q] + start_q)`` into ``u`` and
     ``off_p[i] + ((D[i, w_q] + L_q) - start_q)`` into ``w``, with ``off_p =
     (start_p, L_p - start_p)``.  On two intervals of one edge the direct
@@ -250,14 +261,9 @@ def route_constants(
     for ``u`` and 1 for ``w``.
     """
 
-    idx = net.vertex_index
-    edges = [net.edges[seg.edge] for seg in segments]
-    edge = np.array([seg.edge for seg in segments])
-    start = np.array([seg.start for seg in segments])
-    length = np.array([e.length for e in edges])
-    ends = np.array([(idx[e.u], idx[e.w]) for e in edges])
+    edge, start, length, ends, offsets = columns
     via = dist[ends[p][:, :, None], ends[q][:, None, :]]
-    off_p = np.stack([start, length - start], axis=1)[p]
+    off_p = offsets[p]
     start_q, length_q = start[q][:, None], length[q][:, None]
     const = np.empty_like(via)
     const[:, :, 0] = off_p + (via[:, :, 0] + start_q)
@@ -290,7 +296,8 @@ def classify_segment_pair(
     if _same_interval(seg_p, seg_q):
         return PairClass((), True, seg_p.length, seg_q.length)
 
-    const = route_constants(net, dist, (seg_p, seg_q), np.array([0]), np.array([1]))[0].tolist()
+    columns = _route_columns(net, (seg_p, seg_q))
+    const = route_constants(dist, columns, np.array([0]), np.array([1]))[0].tolist()
     order = list(_CLASSES)
     if seg_p.edge == seg_q.edge:
         direct = (1, 0) if seg_p.start <= seg_q.start else (0, 1)

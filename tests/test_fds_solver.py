@@ -11,10 +11,6 @@ from hypothesis import strategies as st
 
 from tripcover import fds_solver, parse_instance
 from tripcover.bounds import (
-    _box_floors,
-    _floor_table,
-    _route_constants,
-    _whole_edges,
     axis_floor,
     box_bounder,
     exceeds,
@@ -176,7 +172,7 @@ def test_problem_with_more_than_two_forms(monkeypatch):
     assert len(branches) == len(rp.domain.pair_class.forms)
 
     for floors in field_floors(inst, rp):
-        assert {o: len(f) for o, f in floors.items()} == {"12": len(branches), "21": len(branches)}
+        assert [len(f) for f in floors] == [len(branches), len(branches)]
 
     crossed = []
 
@@ -576,7 +572,7 @@ def test_edge_pair_floors_are_the_sampled_minimum(seed, transform):
     inst = parse_instance(transformed_doc(doc, **transform))
     net = inst.network
     prep = preprocess_network(net)
-    floors = _least_box_floors(inst, prep, _whole_edges(inst))
+    floors = _least_box_floors(inst, prep, range(len(net.edges)))
     allowance = rounding_allowance(inst)
 
     def samples(edge):
@@ -610,16 +606,15 @@ def _floor_probes():
     ]
 
 
-def _least_box_floors(inst, prep, segments):
-    """Least ``_box_floors`` value of every pair on every box of two of
-    ``segments``, in ``np.triu_indices`` order: an array of shape (pairs,
-    boxes), the boxes of every problem when ``segments`` are the segments."""
+def _least_box_floors(inst, prep, columns):
+    """Least ``_box_floors`` value of every pair on every box of two of the
+    ``box_bounder`` columns ``columns`` (a range), in ``np.triu_indices``
+    order: an array of shape (pairs, boxes), the boxes of every problem when
+    ``columns`` are the segments' and of every edge pair when the edges'."""
 
-    a, b = np.triu_indices(len(segments))
-    const = _route_constants(inst, prep, segments, a, b)
-    table = _floor_table(inst, segments)
-    floors = _box_floors(inst, table, a, b, const, a == b)
-    return np.array([f.min(axis=(1, 2, 3)) for f in floors])
+    a, b = np.triu_indices(len(columns))
+    chunks = box_bounder(inst, prep, DEFAULT_COVERAGE_TOL).floors(a + columns[0], b + columns[0])
+    return np.concatenate([floors.min(axis=(2, 3, 4)) for _, floors in chunks])
 
 
 def _segment_samples(net, seg, res):
@@ -640,7 +635,8 @@ def test_box_floors_are_certified(random_suite, trapezoid_a04):
         net = inst.network
         prep = preprocess_network(net)
         segments = prep.segments
-        floors = _least_box_floors(inst, prep, segments)
+        edges = len(net.edges)
+        floors = _least_box_floors(inst, prep, range(edges, edges + len(segments)))
         allowance = rounding_allowance(inst)
         for k, (i, j) in enumerate(zip(*np.triu_indices(len(segments)))):
             ps, px, py = _segment_samples(net, segments[i], 64)
@@ -662,7 +658,7 @@ def _bound_from_field_floors(inst, rp):
     scale = rounding_scale(inst)
     bound = 0.0
     for pair, floors in zip(inst.pairs, field_floors(inst, rp)):
-        least = min(floors[orientation].min() for orientation in floors)
+        least = floors.min()
         level = pair.acceptance + DEFAULT_COVERAGE_TOL
         bound += pair.weight * (not exceeds(least, level, scale))
     return bound
@@ -675,6 +671,78 @@ def test_box_floors_and_class_forms_give_equal_bounds(random_suite, trapezoid_a0
     for inst in random_suite + [trapezoid_a04] + _floor_probes() + grids:
         problems, bounds = _bounds(inst)
         assert bounds == [_bound_from_field_floors(inst, rp) for rp in problems]
+
+
+def _kernel_instances(random_suite, trapezoid_a04):
+    """The suite, fig4, the trapezoid, the detour network, grid3/8/30 and grid4/10/12."""
+
+    docs = [fig4_doc(), detour_doc(), grid_instance_doc(3, 8, 30), grid_instance_doc(4, 10, 12)]
+    return random_suite + [trapezoid_a04] + [parse_instance(doc) for doc in docs]
+
+
+def test_box_floor_kernel_equals_pair_by_pair(random_suite, trapezoid_a04, monkeypatch):
+    # one call bounds every O/D pair on every edge pair and every segment pair
+    # at once, in chunks of pairs; the floors must be those of each pair
+    # alone, and the bound the weight sum of each pair alone in pair order
+    uneven = 0
+    for inst in _kernel_instances(random_suite, trapezoid_a04):
+        prep = preprocess_network(inst.network)
+        edges, n = len(inst.network.edges), len(inst.pairs)
+        (ep, eq), (sp, sq) = np.triu_indices(edges), np.triu_indices(len(prep.segments))
+        p, q = np.concatenate([ep, sp + edges]), np.concatenate([eq, sq + edges])
+        bounder = box_bounder(inst, prep, DEFAULT_COVERAGE_TOL)
+        monkeypatch.setattr("tripcover.bounds._CHUNK", 1)
+        alone = [floors for _, floors in bounder.floors(p, q)]
+        assert [floors.shape for floors in alone] == [(1, len(p), 2, 2, 2)] * n
+        scale = rounding_scale(inst)
+        expected = np.zeros(len(p))
+        for pair, floors in zip(inst.pairs, alone):
+            least = floors[0].min(axis=(1, 2, 3))
+            expected += pair.weight * ~exceeds(least, pair.acceptance + DEFAULT_COVERAGE_TOL, scale)
+        for chunk in (1 << 16, n * len(p), 1, max(n - 1, 1) * len(p)):
+            monkeypatch.setattr("tripcover.bounds._CHUNK", chunk)
+            slices, floors = zip(*bounder.floors(p, q))
+            step = max(1, chunk // len(p))
+            assert [(s.start, s.stop) for s in slices] == [(k, k + step) for k in range(0, n, step)]
+            uneven += n % step != 0
+            assert np.array_equal(np.concatenate(floors), np.concatenate(alone))
+            assert np.array_equal(bounder(p, q), expected)
+    assert uneven
+
+
+def test_search_floor_table_gives_the_floors_built_alone(random_suite, trapezoid_a04, monkeypatch):
+    # each solved problem reads its field floors from the search's floor
+    # table; they must be the floors of its own two-segment table, and the
+    # problem solved alone must give the search's solution
+    probes = [
+        parse_instance(transformed_doc(random_instance_doc(seed), **transform))
+        for seed in (104, 107)
+        for transform in ({"scale": 1e6}, {"shift": 1e6})
+    ]
+    calls = []
+    solve = fds_solver.solve_restricted
+
+    def recorded(inst, rp, **kwargs):
+        sol = solve(inst, rp, **kwargs)
+        calls.append((rp, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(fds_solver, "solve_restricted", recorded)
+    for inst in _kernel_instances(random_suite, trapezoid_a04) + probes:
+        prep = preprocess_network(inst.network)
+        edges = len(inst.network.edges)
+        table = box_bounder(inst, prep, DEFAULT_COVERAGE_TOL).table
+        a, b = np.triu_indices(len(prep.segments))
+        for rp, i, j in zip(restricted_problems(inst, prep), a.tolist(), b.tolist()):
+            shared = field_floors(inst, rp, table[:, [edges + i, edges + j]])
+            assert np.array_equal(shared, field_floors(inst, rp))
+        calls.clear()
+        solve_global(inst, trace_res=SUITE_TRACE_RES)
+        assert calls
+        for rp, kwargs, sol in calls:
+            searched = field_floors(inst, rp, kwargs.pop("floor_table"))
+            assert np.array_equal(searched, field_floors(inst, rp))
+            assert solve(inst, rp, **kwargs) == sol
 
 
 def test_search_classifies_only_the_problems_it_solves(random_suite, monkeypatch):
@@ -845,11 +913,11 @@ def test_diagonal_floor_bounds_the_field(doc):
     separate = point_segment_distance(a.x, a.y, geom) + point_segment_distance(b.x, b.y, geom)
     ts = np.linspace(0.0, rp.rect[0], 301)
     floors = field_floors(inst, rp)
-    for orientation in ("12", "21"):
+    for o, orientation in enumerate(("12", "21")):
         # the floor covers both triangles, where the field is defined on one
         lengths = path_length(inst, rp.domain, pair, ts[:, None], ts[None, :], orientation)
         sampled = float(lengths.min())
-        floor = float(floors[0][orientation][0])
+        floor = float(floors[0, o, 0])
         assert floor <= sampled + 1e-12
         assert floor >= separate - 1e-12  # never looser, up to rounding
 
@@ -867,7 +935,7 @@ def test_field_floors_bound_every_field(seed, transform):
         ys = np.linspace(0.0, rp.rect[1], 33)[None, :]
         floors = field_floors(inst, rp)
         for pi, pair in enumerate(inst.pairs):
-            for orientation in ("12", "21"):
+            for o, orientation in enumerate(("12", "21")):
                 for k, branch in enumerate(pc.branches):
                     if pc.diagonal:  # both triangles; the field covers x <= y only
                         lengths = path_length(inst, rp.domain, pair, xs, ys, orientation)
@@ -875,7 +943,7 @@ def test_field_floors_bound_every_field(seed, transform):
                     else:
                         field = branch_field(inst, rp.domain, pair, orientation, branch)
                         sampled = float(field(xs, ys).min())
-                    assert floors[pi][orientation][k] <= sampled + allowance
+                    assert floors[pi, o, k] <= sampled + allowance
 
 
 def test_stats_cover_the_required_problems(random_suite, random_suite_sweeps):
@@ -1099,7 +1167,9 @@ def _per_pair_counters(inst, rp, trace_res):
     floors = field_floors(inst, rp)
     scale = rounding_scale(inst)
     curves = [
-        fds_solver._trace_pair(inst, rp, pair, floors[k], scale, trace_res).curves
+        fds_solver._trace_pair(
+            inst, rp, pair, ~exceeds(floors[k], pair.acceptance + 1e-12, scale), trace_res
+        ).curves
         for k, pair in enumerate(inst.pairs)
     ]
     counters = dict.fromkeys(["intersections", "max_curve_pair_intersections", "bound_exceeded"], 0)
