@@ -113,8 +113,8 @@ def _box_floors(table: np.ndarray, ends: np.ndarray, p, q, const: np.ndarray, sa
     ``p``/``q`` the columns of each box's two intervals and ``const`` their
     ``(boxes, 2, 2)`` route constants.  Returns one ``(pairs, boxes, 2, 2,
     2)`` array, indexed by pair, box, boarding order (``"12"``, ``"21"``) and
-    slope class; ``box_bounder`` passes at most ``_CHUNK`` (pair, box)
-    entries at once.  Off ``same`` a class's field is ``u(x) + v(y) +
+    slope class; ``box_bounder`` passes one pair or at most ``_CHUNK`` (pair,
+    box) entries at once.  Off ``same`` a class's field is ``u(x) + v(y) +
     const``, each axis term a distance plus ``±alpha`` times its coordinate,
     so its floor is two axis floors plus the constant.  On a ``same`` box
     (one interval twice), adding ``lam*(x - y) <= 0`` on the triangle ``x <=
@@ -230,8 +230,8 @@ class box_bounder:
         self.scale = rounding_scale(inst)
 
     def floors(self, p: np.ndarray, q: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-        """``_box_floors`` of the boxes ``p[k] <= q[k]`` for a slice of the
-        pairs at a time, at most ``_CHUNK`` (pair, box) entries, with the slice.
+        """``_box_floors`` of the boxes ``p[k] <= q[k]``, with the slice of the
+        pairs, at most ``_CHUNK`` (pair, box) entries or one pair at a time.
         On one interval twice the route classes hold the routes through the
         ends of a whole edge of several segments (one longer than the distance
         between its ends), and ``inf`` on one linear arc segment."""
