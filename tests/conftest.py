@@ -543,11 +543,43 @@ def golden_docs() -> dict[str, dict]:
     return docs
 
 
+def golden_commands() -> dict[str, tuple[dict, list[str]]]:
+    """The ``preprocess`` and ``curves`` documents of the golden corpus, by
+    file stem: the instance and the command with its options.  The
+    ``preprocess`` instances hold type 1, type 2 and diagonal pairs, a detour
+    edge and, at 1e-10, pairs of three or more forms; the ``curves`` pairs are
+    two segments in both orders and one segment twice."""
+
+    fig4 = fig4_doc()
+    curves = ["curves", "--format", "json", "--trace-res", "32", "--segments"]
+    return {
+        "preprocess-fig4": (fig4, ["preprocess"]),
+        "preprocess-trapezoid-a0.3": (trapezoid_doc(0.3), ["preprocess"]),
+        "preprocess-detour": (detour_doc(), ["preprocess"]),
+        "preprocess-seed104-scale1e-10": (
+            transformed_doc(random_instance_doc(104), scale=1e-10),
+            ["preprocess"],
+        ),
+        "curves-fig4-0-2": (fig4, [*curves, "0,2"]),
+        "curves-fig4-2-0": (fig4, [*curves, "2,0"]),
+        "curves-fig4-1-1": (fig4, [*curves, "1,1"]),
+    }
+
+
+def command_document(doc: dict, directory: Path, command: list[str]) -> str:
+    """The document ``tripcover`` writes for ``doc`` under ``command`` (the
+    command name, then its options); ``directory`` holds the instance and the
+    output."""
+
+    instance, out = directory / "instance.json", directory / "out.json"
+    instance.write_text(json.dumps(doc), encoding="utf-8")
+    name, *options = command
+    assert cli.main([name, "--instance", str(instance), "--out", str(out), *options]) == 0
+    return out.read_text(encoding="utf-8")
+
+
 def solve_document(doc: dict, directory: Path) -> str:
     """The document ``tripcover solve`` writes for ``doc`` at its defaults,
-    without ``--timing``; ``directory`` holds the instance and the output."""
+    without ``--timing``."""
 
-    instance, out = directory / "instance.json", directory / "solve.json"
-    instance.write_text(json.dumps(doc), encoding="utf-8")
-    assert cli.main(["solve", "--instance", str(instance), "--out", str(out)]) == 0
-    return out.read_text(encoding="utf-8")
+    return command_document(doc, directory, ["solve"])

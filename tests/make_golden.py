@@ -1,12 +1,14 @@
-"""Regenerate the golden ``tripcover solve`` corpus in ``tests/golden``.
+"""Regenerate the golden ``tripcover`` corpus in ``tests/golden``.
 
     PYTHONPATH=src python tests/make_golden.py
 
 Writes ``<name>.json`` for every instance of ``conftest.golden_docs``, the
-document ``tripcover solve`` writes at its defaults without ``--timing``, and
-``versions.json``, the numpy and Python versions that produced them.
-``test_golden.py`` compares every document byte for byte, so regenerate only
-when an answer is meant to change, and say which one changed and why.
+document ``tripcover solve`` writes at its defaults without ``--timing``, for
+every entry of ``conftest.golden_commands``, the ``preprocess`` or ``curves``
+document it names, and ``versions.json``, the numpy and Python versions that
+produced them.  ``test_golden.py`` compares every document byte for byte, so
+regenerate only when an answer is meant to change, and say which one changed
+and why.
 """
 
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import GOLDEN_DIR, golden_docs, solve_document
+from conftest import GOLDEN_DIR, command_document, golden_commands, golden_docs, solve_document
 
 
 def main() -> int:
@@ -25,6 +27,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name, doc in golden_docs().items():
             text = solve_document(doc, Path(scratch))
+            (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
+        for name, (doc, command) in golden_commands().items():
+            text = command_document(doc, Path(scratch), command)
             (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
     versions = {"numpy": np.__version__, "python": platform.python_version()}
     (GOLDEN_DIR / "versions.json").write_text(json.dumps(versions, indent=2) + "\n")
