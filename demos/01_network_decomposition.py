@@ -11,7 +11,8 @@ atoms the solver works with.
 import math
 
 from tripcover import parse_instance
-from tripcover.preprocess import classify_segment_pair, preprocess_network
+from tripcover.mixed_distance import restricted_problem
+from tripcover.preprocess import preprocess_network
 
 S6 = 2 * math.sqrt(6)
 
@@ -32,6 +33,13 @@ instance = parse_instance(
 )
 
 prep = preprocess_network(instance.network)
+
+
+def kind(rp):
+    """Type 1 (concave) with two or more forms, else type 2."""
+
+    return "type1" if len(rp.forms) > 1 else "type2"
+
 
 print("vertex-to-vertex shortest distances:")
 for row in prep.dist:
@@ -57,20 +65,18 @@ for k, seg in enumerate(prep.segments):
 # the minimum of two affine forms (a concave, type 1 pair).
 top = prep.segments_by_edge[0][0]
 bottom_mid = prep.segments_by_edge[1][1]
-pc = classify_segment_pair(top, bottom_mid, prep.dist, instance.network)
-print(f"\n(top) x (bottom middle) classifies as {pc.kind}:")
-for form, name in zip(pc.forms, ("a", "b")):
+rp = restricted_problem(instance.network, prep.dist, top, bottom_mid)
+print(f"\n(top) x (bottom middle) classifies as {kind(rp)}:")
+for form, name in zip(rp.forms, rp.branches):
     print(f"  branch {name}: d = {form.c0:g} {form.cx:+d}*x {form.cy:+d}*y")
 
 # A pair on one edge is convex (|x - y|); most other combinations are plain
 # affine (type 2), one dominating route.
-pc_diag = classify_segment_pair(bottom_mid, bottom_mid, prep.dist, instance.network)
-print(f"(bottom middle) with itself: {pc_diag.kind}, distance |x - y|")
-pc_lin = classify_segment_pair(
-    prep.segments_by_edge[1][0], top, prep.dist, instance.network
-)
-form = pc_lin.forms[0]
+rp_diag = restricted_problem(instance.network, prep.dist, bottom_mid, bottom_mid)
+print(f"(bottom middle) with itself: {kind(rp_diag)}, distance |x - y|")
+rp_lin = restricted_problem(instance.network, prep.dist, prep.segments_by_edge[1][0], top)
+form = rp_lin.forms[0]
 print(
-    f"(bottom start) x (top): {pc_lin.kind}, single form "
+    f"(bottom start) x (top): {kind(rp_lin)}, single form "
     f"d = {form.c0:g} {form.cx:+d}*x {form.cy:+d}*y"
 )

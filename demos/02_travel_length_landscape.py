@@ -46,7 +46,7 @@ pair = instance.pairs[0]
 print("travel length h(x, y) on a coarse grid (rows: x, cols: y):")
 ticks = np.linspace(0.0, 5.0, 6)
 gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
-h = path_length(instance, rp.domain, pair, gx, gy, "12")
+h = path_length(instance, rp, pair, gx, gy, "12")
 print("      " + "  ".join(f"y={t:4.1f}" for t in ticks))
 for r, x in enumerate(ticks):
     print(f"x={x:4.1f} " + "  ".join(f"{v:6.3f}" for v in h[r]))
@@ -56,7 +56,7 @@ print("\nlevel curves per branch: explicit arcs y(x), and where they meet the re
 for level in (8.0, 9.0, 10.0, 11.0):
     parts = []
     for branch in ("a", "b"):
-        field = branch_field(instance, rp.domain, pair, "12", branch)
+        field = branch_field(instance, rp, pair, "12", branch)
         curve = trace_level_curve(field, level, 128)
         parts.append(f"branch {branch} -> {len(curve.arcs)} arcs, {len(curve.boundary)} boundary hits")
     print(f"  level {level:5.2f}: " + ", ".join(parts))
@@ -64,7 +64,7 @@ for level in (8.0, 9.0, 10.0, 11.0):
 # export one family to CSV for external plotting
 curves = []
 for branch in ("a", "b"):
-    field = branch_field(instance, rp.domain, pair, "12", branch)
+    field = branch_field(instance, rp, pair, "12", branch)
     curves.append(trace_level_curve(field, 10.0, 256))
 out = pathlib.Path(__file__).parent / "level_curves_demo.csv"
 out.write_text(curves_to_csv(curves))

@@ -60,7 +60,7 @@ def trace_curves(inst, rp):
         store = {}
         for orientation in ("12", "21"):
             for branch in ("a", "b"):
-                field = branch_field(inst, rp.domain, pair, orientation, branch)
+                field = branch_field(inst, rp, pair, orientation, branch)
                 curve = trace_level_curve(field, pair.acceptance, 256)
                 if not curve.empty:
                     store[(orientation, branch)] = curve

@@ -12,7 +12,8 @@ in one array pass, pair axis first.  ``box_bounder`` holds the axis floors of
 every column and turns the floors into a bound on the objective over every
 box, the weight of the pairs whose floor reaches the acceptance level, at
 most ``_CHUNK`` (pair, box) entries at a time; ``field_floors`` reads two of
-its columns for the floor of every branch field of one classified problem.
+its columns for the floor of every branch field of one restricted problem
+(``mixed_distance.RestrictedProblem``).
 The floors need no classification, and one exceeds a level only beyond the
 rounding allowance of ``exceeds``.
 """
@@ -147,10 +148,10 @@ def _pair_rows(inst: ProblemInstance) -> np.ndarray:
 
 def field_floors(inst: ProblemInstance, rp, table: np.ndarray | None = None) -> np.ndarray:
     """Certified floor of every branch field of every pair on one restricted
-    problem ``rp`` (a ``fds_solver.RestrictedProblem``).
+    problem ``rp`` (a ``mixed_distance.RestrictedProblem``).
 
     A ``(pairs, 2, branches)`` array: per pair and boarding order, the floors
-    of the problem's branches (``pc.branches``) over the rectangle, one per
+    of the problem's branches (``rp.branches``) over the rectangle, one per
     form.  ``table`` is the ``_floor_table`` of the two segments, columns
     ``rp.seg_p`` and ``rp.seg_q``, as ``box_bounder`` holds them; it is built
     when not given.  Each form's ``alpha*c0`` stands in its slope class of
@@ -159,13 +160,12 @@ def field_floors(inst: ProblemInstance, rp, table: np.ndarray | None = None) -> 
     """
 
     table = _floor_table(inst, [rp.seg_p, rp.seg_q]) if table is None else table
-    pc = rp.domain.pair_class
     const = np.full((1, 2, 2), np.inf)
-    slots = [((1 - form.cx) // 2, (1 - form.cy) // 2) for form in pc.forms] or [(0, 0)]
-    for form, (kx, ky) in zip(pc.forms, slots):
+    slots = [((1 - form.cx) // 2, (1 - form.cy) // 2) for form in rp.forms] or [(0, 0)]
+    for form, (kx, ky) in zip(rp.forms, slots):
         const[0, kx, ky] = inst.alpha * form.c0
     kx, ky = np.array(slots).T
-    one, same = np.array([0]), np.array([pc.diagonal])
+    one, same = np.array([0]), np.array([rp.diagonal])
     floors = _box_floors(table, _pair_rows(inst), one, one + 1, const, same)
     return floors[:, 0][:, :, kx, ky]
 

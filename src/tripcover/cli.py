@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .fds_solver import restricted_problems, solve_global
 from .level_curves import DEFAULT_TRACE_RES, curves_to_csv, trace_level_curve
-from .mixed_distance import DEFAULT_COVERAGE_TOL, ORIENTATIONS, branch_field, pair_domain
+from .mixed_distance import DEFAULT_COVERAGE_TOL, ORIENTATIONS, branch_field, restricted_problem
 from .model import (
     NetworkPoint,
     ProblemInstance,
@@ -26,12 +26,7 @@ from .model import (
     validate_instance,
 )
 from .oracle import evaluate_point_pair, oracle_grid
-from .preprocess import (
-    TYPE1,
-    all_pairs_shortest_paths,
-    classify_segment_pair,
-    preprocess_network,
-)
+from .preprocess import all_pairs_shortest_paths, preprocess_network
 
 
 class _UsageError(Exception):
@@ -204,12 +199,9 @@ def _cmd_preprocess(args) -> int:
             {
                 "p": seg_index[problem.seg_p],
                 "q": seg_index[problem.seg_q],
-                "type": 1 if problem.domain.pair_class.kind == TYPE1 else 2,
-                "diagonal": problem.domain.pair_class.diagonal,
-                "forms": [
-                    {"c0": f.c0, "cx": f.cx, "cy": f.cy}
-                    for f in problem.domain.pair_class.forms
-                ],
+                "type": 1 if len(problem.forms) > 1 else 2,
+                "diagonal": problem.diagonal,
+                "forms": [{"c0": f.c0, "cx": f.cx, "cy": f.cy} for f in problem.forms],
             }
             for problem in problems
         ],
@@ -256,13 +248,12 @@ def _cmd_curves(args) -> int:
         print("error: --pair selector matches no O/D pair", file=sys.stderr)
         return 1
 
-    pc = classify_segment_pair(segments[sp], segments[sq], prep.dist, inst.network)
-    dom = pair_domain(inst.network, segments[sp], segments[sq], pc)
+    rp = restricted_problem(inst.network, prep.dist, segments[sp], segments[sq])
     curves = []
     for pair in pairs:
         for orientation in ORIENTATIONS:
-            for branch in pc.branches:
-                field = branch_field(inst, dom, pair, orientation, branch)
+            for branch in rp.branches:
+                field = branch_field(inst, rp, pair, orientation, branch)
                 curves.append(trace_level_curve(field, pair.acceptance, args.trace_res))
     if args.format == "json":
         doc = {

@@ -1,11 +1,12 @@
 """Finite-dominating-set construction and the two-transfer-point solver.
 
 Every pair of linear arc segments induces a restricted problem over its
-parameter rectangle; a same-segment (diagonal) problem is solved on the
-triangle ``x <= y`` only, as swapping the coordinates swaps the boarding
-orders and leaves coverage unchanged.  A finite candidate set that is
-guaranteed to contain an optimal point of the restricted problem is
-assembled from
+parameter rectangle, one ``mixed_distance.RestrictedProblem`` record
+(``restricted_problems`` enumerates and classifies them); a same-segment
+(diagonal) problem is solved on the triangle ``x <= y`` only, as swapping the
+coordinates swaps the boarding orders and leaves coverage unchanged.  A
+finite candidate set that is guaranteed to contain an optimal point of the
+restricted problem is assembled from
 
 * crossings of every two branch boundary curves of each O/D pair and
   boarding order (or a representative point per nonempty curve when none
@@ -72,11 +73,11 @@ from .level_curves import sample_arc as sample_grid  # noqa: F401
 from .mixed_distance import (
     DEFAULT_COVERAGE_TOL,
     ORIENTATIONS,
-    PairDomain,
+    RestrictedProblem,
     branch_field,
     coverage_and_objective,
     coverage_weights,
-    pair_domain,
+    segment_geometry,
 )
 from .model import (
     ODPair,
@@ -85,12 +86,7 @@ from .model import (
     network_point,
     validate_instance,
 )
-from .preprocess import (
-    LinearArcSegment,
-    Preprocessed,
-    classify_segment_pair,
-    preprocess_network,
-)
+from .preprocess import Preprocessed, classify_segment_pair, preprocess_network
 # bench/run.py checks every answer with fds_solver.oracle_grid; the oracle lives
 # in its own module and shares no code with the solver
 from .oracle import oracle_grid  # noqa: F401
@@ -101,20 +97,6 @@ PROV_PAIR_CURVES = "pair-curves"
 PROV_CROSS_CURVES = "cross-curves"
 PROV_AUGMENT = "augment"
 PROV_FALLBACK = "fallback"
-
-
-@dataclass(frozen=True)
-class RestrictedProblem:
-    """One segment pair with its classified distance structure."""
-
-    index: int
-    seg_p: LinearArcSegment
-    seg_q: LinearArcSegment
-    domain: PairDomain
-
-    @property
-    def rect(self) -> tuple[float, float]:
-        return self.domain.rect
 
 
 @dataclass(frozen=True)
@@ -194,7 +176,7 @@ def restricted_problems(
     ``ValueError``, before any work, on a pair out of that range.
     """
 
-    segs = prep.segments
+    net, segs = inst.network, prep.segments
     n = len(segs)
     if pairs is None:
         pairs = ((a, b) for a in range(n) for b in range(a, n))
@@ -205,15 +187,10 @@ def restricted_problems(
                 raise ValueError(f"segment pair must have 0 <= a <= b < {n}, got {(a, b)}")
     problems = []
     for a, b in pairs:
-        pc = classify_segment_pair(segs[a], segs[b], prep.dist, inst.network)
-        problems.append(
-            RestrictedProblem(
-                _rp_index(n, a, b),
-                segs[a],
-                segs[b],
-                pair_domain(inst.network, segs[a], segs[b], pc),
-            )
-        )
+        p, q = segs[a], segs[b]
+        forms = classify_segment_pair(p, q, prep.dist, net)
+        geoms = segment_geometry(net, p), segment_geometry(net, q)
+        problems.append(RestrictedProblem(_rp_index(n, a, b), p, q, *geoms, forms))
     return problems
 
 
@@ -231,38 +208,37 @@ def _trace_pair(
     live: np.ndarray,
     trace_res: int,
 ) -> _PairCurves:
-    """Trace the nonempty boundary curves of one pair on one domain.
+    """Trace the nonempty boundary curves of one pair on one restricted problem.
 
-    ``live[o, k]`` is false for the field of ``ORIENTATIONS[o]`` and branch
-    ``k`` when its floor (``field_floors``) exceeds the level plus the
-    minimiser test's ``1e-12`` and the rounding allowance: it can yield
-    neither a minimiser candidate nor a curve.  A convex field attains its
-    maximum over the domain at a corner, so a corner maximum below the level
-    certifies an empty boundary.  Otherwise the closed-form minimiser is a
-    candidate when its value is within ``1e-12`` of the level, and the curve
-    exists when the minimum is below it.
+    Only the fields with ``live[o, k]`` are visited, in row-major order:
+    ``live`` is false for the field of ``ORIENTATIONS[o]`` and branch ``k``
+    when its floor (``field_floors``) exceeds the level plus the minimiser
+    test's ``1e-12`` and the rounding allowance, as it can yield neither a
+    minimiser candidate nor a curve.  A convex field attains its maximum over
+    the domain at a corner, so a corner maximum below the level certifies an
+    empty boundary.  Otherwise the closed-form minimiser is a candidate when
+    its value is within ``1e-12`` of the level, and the curve exists when the
+    minimum is below it.
     """
 
     level = pair.acceptance
     out = _PairCurves({}, [], [])
-    for o, orientation in enumerate(ORIENTATIONS):
-        for k, branch in enumerate(rp.domain.pair_class.branches):
-            if not live[o, k]:
-                continue
-            field = branch_field(inst, rp.domain, pair, orientation, branch)
-            if max(float(field(x, y)) for x, y in field.corners) <= level:
-                continue  # domain entirely inside the sublevel set
-            mx, my = minimize(field)
-            low = float(field(mx, my))
-            if low <= level + 1e-12:
-                out.minimizers.append((mx, my))
-            if low >= level:
-                continue  # the sublevel set has no interior, nothing to trace
-            curve = trace_level_curve(field, level, trace_res)
-            if curve.empty:
-                continue
-            out.curves[(orientation, branch)] = curve
-            out.boundary.extend(curve.boundary)
+    for o, k in np.argwhere(live).tolist():
+        orientation, branch = ORIENTATIONS[o], rp.branches[k]
+        field = branch_field(inst, rp, pair, orientation, branch)
+        if max(float(field(x, y)) for x, y in field.corners) <= level:
+            continue  # domain entirely inside the sublevel set
+        mx, my = minimize(field)
+        low = float(field(mx, my))
+        if low <= level + 1e-12:
+            out.minimizers.append((mx, my))
+        if low >= level:
+            continue  # the sublevel set has no interior, nothing to trace
+        curve = trace_level_curve(field, level, trace_res)
+        if curve.empty:
+            continue
+        out.curves[(orientation, branch)] = curve
+        out.boundary.extend(curve.boundary)
     return out
 
 
@@ -275,7 +251,7 @@ def _branch_pairs(
     return {
         (o, b1, b2): (curves[(o, b1)], curves[(o, b2)])
         for o in ORIENTATIONS
-        for b1, b2 in itertools.combinations(rp.domain.pair_class.branches, 2)
+        for b1, b2 in itertools.combinations(rp.branches, 2)
         if (o, b1) in curves and (o, b2) in curves
     }
 
@@ -298,7 +274,7 @@ def _pair_points(
             points.extend((p.x, p.y) for p in found.points)
         if any(found.points for found in crossings):
             continue
-        for branch in rp.domain.pair_class.branches:
+        for branch in rp.branches:
             curve = curves.get((orientation, branch))
             if curve is not None and not curve.empty:
                 arc = curve.arcs[0]
@@ -455,7 +431,7 @@ def solve_restricted(
 
     xs = np.array([c.x for c in unique])
     ys = np.array([c.y for c in unique])
-    values = coverage_weights(inst, rp.domain, xs, ys, cov_tol)
+    values = coverage_weights(inst, rp, xs, ys, cov_tol)
     best_value = float(values.max()) if len(values) else 0.0
     if best_value <= 0.0:
         best_xy = (fx, fy)
@@ -467,9 +443,7 @@ def solve_restricted(
             if values[k] == best_value
         ]
         best_xy = min(ties)
-    covered, objective = coverage_and_objective(
-        inst, rp.domain, best_xy[0], best_xy[1], cov_tol
-    )
+    covered, objective = coverage_and_objective(inst, rp, best_xy[0], best_xy[1], cov_tol)
     return FdsSolution(
         rp_index=rp.index,
         candidates=unique,

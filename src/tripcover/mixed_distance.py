@@ -7,24 +7,26 @@ segment ``L_p`` and ``X2`` on segment ``L_q`` has length
 
 when it boards at ``X1`` (orientation ``"12"``), or the analogous expression
 boarding at ``X2`` (orientation ``"21"``).  The pair is covered when the
-better of the two orientations does not exceed its acceptance level.  All
-evaluators below work in segment-local coordinates ``(x, y)`` and accept
-scalars or numpy arrays.  ``alpha * d`` does not depend on the pair, so every
-coverage test reads one evaluation per point (``_legs``): that term, and the
-distances from every facility to X1 and to X2, from which ``coverage_mask``
-assembles each pair's two boarding orders.
+better of the two orientations does not exceed its acceptance level.  One
+segment pair is one ``RestrictedProblem``: the two segments, their planar
+embedding (``SegmentGeometry``) and the forms of the network distance between
+them.  Every evaluator below takes that record, works in segment-local
+coordinates ``(x, y)`` and accepts scalars or numpy arrays.  ``alpha * d``
+does not depend on the pair, so every coverage test reads one evaluation per
+point (``_legs``): that term, and the distances from every facility to X1 and
+to X2, from which ``coverage_mask`` assembles each pair's two boarding orders.
 
 The network distance on a segment pair is the least of its forms, the
 non-dominated route classes (``preprocess.classify_segment_pair``), and each
-form is one branch routing.  For one branch routing of one pair and boarding
-order the length is separable, ``u(x) + v(y) + alpha*c0``
-(``SeparableField``): the planar legs each depend on one coordinate, and the
-branch form is affine with ``cx, cy`` in {±1}.  Each axis term
-``u(t) = |F - P(t)| + c*t`` (``Axis``) is convex, with a closed-form
-minimiser and inverse.  On a same-segment (diagonal) pair the network term
-``alpha*|x - y|`` is ``alpha*(y - x)`` on the triangle ``x <= y``, where that
-field is defined: swapping ``x`` and ``y`` swaps the boarding orders, so
-coverage is symmetric and the triangle suffices.
+form is one branch routing; one segment twice (``diagonal``) has no forms.
+For one branch routing of one pair and boarding order the length is
+separable, ``u(x) + v(y) + alpha*c0`` (``SeparableField``): the planar legs
+each depend on one coordinate, and the branch form is affine with ``cx, cy``
+in {±1}.  Each axis term ``u(t) = |F - P(t)| + c*t`` (``Axis``) is convex,
+with a closed-form minimiser and inverse.  On a same-segment (diagonal)
+pair the network term ``alpha*|x - y|`` is ``alpha*(y - x)`` on the triangle
+``x <= y``, where that field is defined: swapping ``x`` and ``y`` swaps the
+boarding orders, so coverage is symmetric and the triangle suffices.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .model import Network, ODPair, ProblemInstance
-from .preprocess import LinearArcSegment, PairClass
+from .preprocess import AffineForm, LinearArcSegment, classify_segment_pair
 
 ORIENT_12 = "12"
 ORIENT_21 = "21"
@@ -86,75 +88,93 @@ def segment_geometry(net: Network, seg: LinearArcSegment) -> SegmentGeometry:
 
 
 @dataclass(frozen=True)
-class PairDomain:
-    """A classified segment pair together with its planar embedding."""
+class RestrictedProblem:
+    """One segment pair: its two segments, their planar embedding and the
+    forms of the network distance between them (``classify_segment_pair``),
+    none on one segment twice (``diagonal``).  ``index`` is the pair's place
+    in ``fds_solver.restricted_problems``, -1 outside it."""
 
-    pair_class: PairClass
+    index: int
+    seg_p: LinearArcSegment
+    seg_q: LinearArcSegment
     geom_p: SegmentGeometry
     geom_q: SegmentGeometry
+    forms: tuple[AffineForm, ...]
+
+    @property
+    def diagonal(self) -> bool:
+        return not self.forms
+
+    @property
+    def branches(self) -> str:
+        """One branch name per form, ``"a"`` for a diagonal pair."""
+
+        return "abcd"[: max(len(self.forms), 1)]
 
     @property
     def rect(self) -> tuple[float, float]:
-        return self.pair_class.rect
+        return (self.seg_p.length, self.seg_q.length)
 
 
-def pair_domain(
-    net: Network,
-    seg_p: LinearArcSegment,
-    seg_q: LinearArcSegment,
-    pc: PairClass,
-) -> PairDomain:
-    return PairDomain(pc, segment_geometry(net, seg_p), segment_geometry(net, seg_q))
+def restricted_problem(
+    net: Network, dist: np.ndarray, seg_p: LinearArcSegment, seg_q: LinearArcSegment
+) -> RestrictedProblem:
+    """The record of any two segments, in either order (``index`` -1)."""
+
+    forms = classify_segment_pair(seg_p, seg_q, dist, net)
+    geoms = segment_geometry(net, seg_p), segment_geometry(net, seg_q)
+    return RestrictedProblem(-1, seg_p, seg_q, *geoms, forms)
 
 
-def _check_domain(pc: PairClass, x, y) -> tuple[np.ndarray, np.ndarray]:
+def _check_domain(rp: RestrictedProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    w, h = rp.rect
     if (
         np.any(x < -_DOMAIN_SLACK)
-        or np.any(x > pc.len_p + _DOMAIN_SLACK)
+        or np.any(x > w + _DOMAIN_SLACK)
         or np.any(y < -_DOMAIN_SLACK)
-        or np.any(y > pc.len_q + _DOMAIN_SLACK)
+        or np.any(y > h + _DOMAIN_SLACK)
     ):
-        raise ValueError(
-            f"point outside parameter rectangle [0,{pc.len_p}]x[0,{pc.len_q}]"
-        )
+        raise ValueError(f"point outside parameter rectangle [0,{w}]x[0,{h}]")
     return x, y
 
 
-def network_distance(pc: PairClass, x, y):
+def network_distance(rp: RestrictedProblem, x, y):
     """Shortest network distance between the two segment points.
 
     The least of the forms, ``|x - y|`` on a diagonal pair.  Raises
     ``ValueError`` outside the parameter rectangle.
     """
 
-    x, y = _check_domain(pc, x, y)
-    if pc.diagonal:
+    x, y = _check_domain(rp, x, y)
+    if rp.diagonal:
         return np.abs(x - y)
-    return reduce(np.minimum, (form(x, y) for form in pc.forms))
+    return reduce(np.minimum, (form(x, y) for form in rp.forms))
 
 
-def _legs(inst: ProblemInstance, dom: PairDomain, x, y):
+def _legs(inst: ProblemInstance, rp: RestrictedProblem, x, y):
     """``(alpha * d, Lp, Lq)`` at the points ``(x, y)``: the network term, its
     domain checked once, and ``Lp[f]``, ``Lq[f]``, the ``np.hypot`` distances
     from facility ``f`` to X1 and to X2, facility axis first."""
 
-    ad = inst.alpha * network_distance(dom.pair_class, x, y)
+    ad = inst.alpha * network_distance(rp, x, y)
     pos = np.array([(f.position.x, f.position.y) for f in inst.facilities])
     fx, fy = pos.reshape((-1, 2) + (1,) * np.ndim(ad)).swapaxes(0, 1)
-    (px, py), (qx, qy) = dom.geom_p.position(x), dom.geom_q.position(y)
+    (px, py), (qx, qy) = rp.geom_p.position(x), rp.geom_q.position(y)
     return ad, np.hypot(fx - px, fy - py), np.hypot(fx - qx, fy - qy)
 
 
-def path_length(inst: ProblemInstance, dom: PairDomain, pair: ODPair, x, y, orientation: str):
+def path_length(
+    inst: ProblemInstance, rp: RestrictedProblem, pair: ODPair, x, y, orientation: str
+):
     """Length of the trip boarding at X1 (``"12"``) or at X2 (``"21"``).
 
     The network distance is symmetric, so the orientation only swaps which
     transfer point plays access and exit for the planar legs.
     """
 
-    ad, lp, lq = _legs(inst, dom, x, y)
+    ad, lp, lq = _legs(inst, rp, x, y)
     o, t = inst.facility_index[pair.origin], inst.facility_index[pair.dest]
     if orientation == ORIENT_12:
         return (lp[o] + ad) + lq[t]
@@ -163,14 +183,16 @@ def path_length(inst: ProblemInstance, dom: PairDomain, pair: ODPair, x, y, orie
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def coverage_mask(inst: ProblemInstance, dom: PairDomain, x, y, tol: float = DEFAULT_COVERAGE_TOL):
+def coverage_mask(
+    inst: ProblemInstance, rp: RestrictedProblem, x, y, tol: float = DEFAULT_COVERAGE_TOL
+):
     """Whether each pair is covered at each point, shape ``(pairs, *shape)``:
     its better boarding order, ``min((Lp[o] + alpha*d) + Lq[t], (Lq[o] +
     alpha*d) + Lp[t])``, is at most its acceptance level plus ``tol``."""
 
     if tol < 0:
         raise ValueError("coverage tolerance must be nonnegative")
-    ad, lp, lq = _legs(inst, dom, x, y)
+    ad, lp, lq = _legs(inst, rp, x, y)
     row = inst.facility_index
     o = np.array([row[pair.origin] for pair in inst.pairs], dtype=np.intp)
     t = np.array([row[pair.dest] for pair in inst.pairs], dtype=np.intp)
@@ -180,20 +202,20 @@ def coverage_mask(inst: ProblemInstance, dom: PairDomain, x, y, tol: float = DEF
 
 
 def coverage_and_objective(
-    inst: ProblemInstance, dom: PairDomain, x: float, y: float, tol: float = DEFAULT_COVERAGE_TOL
+    inst: ProblemInstance, rp: RestrictedProblem, x, y, tol: float = DEFAULT_COVERAGE_TOL
 ) -> tuple[list[tuple[int, int]], float]:
     """Covered pair list and weight sum, in pair order, at a single point."""
 
-    hits = [pair for pair, hit in zip(inst.pairs, coverage_mask(inst, dom, x, y, tol)) if hit]
+    hits = [pair for pair, hit in zip(inst.pairs, coverage_mask(inst, rp, x, y, tol)) if hit]
     return [(pair.origin, pair.dest) for pair in hits], sum((pair.weight for pair in hits), 0.0)
 
 
 def coverage_weights(
-    inst: ProblemInstance, dom: PairDomain, xs, ys, tol: float = DEFAULT_COVERAGE_TOL
+    inst: ProblemInstance, rp: RestrictedProblem, xs, ys, tol: float = DEFAULT_COVERAGE_TOL
 ) -> np.ndarray:
     """Covered weight at each of many candidate points, summed in pair order."""
 
-    mask = coverage_mask(inst, dom, xs, ys, tol)
+    mask = coverage_mask(inst, rp, xs, ys, tol)
     total = np.zeros(mask.shape[1:])
     for pair, covered in zip(inst.pairs, mask):
         total += pair.weight * covered
@@ -342,16 +364,15 @@ class SeparableField:
 
 
 def branch_field(
-    inst: ProblemInstance, dom: PairDomain, pair: ODPair, orientation: str, branch: str
+    inst: ProblemInstance, rp: RestrictedProblem, pair: ODPair, orientation: str, branch: str
 ) -> SeparableField:
-    """Field for one branch routing (one of ``pc.branches``) of one pair and
+    """Field for one branch routing (one of ``rp.branches``) of one pair and
     boarding order."""
 
-    pc = dom.pair_class
-    if pc.diagonal:
+    if rp.diagonal:
         c0, cx, cy = 0.0, -1, 1  # alpha*(y - x) on the triangle x <= y
     else:
-        form = pc.forms[pc.branches.index(branch)]
+        form = rp.forms[rp.branches.index(branch)]
         c0, cx, cy = form.c0, form.cx, form.cy
     a = inst.facility_position(pair.origin)
     b = inst.facility_position(pair.dest)
@@ -362,10 +383,10 @@ def branch_field(
         return Axis(float(t0), float(h), float(s), c, geom.length)
 
     return SeparableField(
-        axis(fp, dom.geom_p, inst.alpha * cx),
-        axis(fq, dom.geom_q, inst.alpha * cy),
+        axis(fp, rp.geom_p, inst.alpha * cx),
+        axis(fq, rp.geom_q, inst.alpha * cy),
         inst.alpha * c0,
-        pc.diagonal,
+        rp.diagonal,
         (pair.origin, pair.dest),
         orientation,
         branch,

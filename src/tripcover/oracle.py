@@ -429,7 +429,8 @@ def oracle_grid(
 
     Evaluates the coverage objective on a ``res`` x ``res`` grid (endpoints
     included, so ``res = 2`` samples the corners) over the rectangle of the
-    restricted problem ``rp`` (only its ``seg_p`` and ``seg_q`` are read), or
+    restricted problem ``rp`` (a ``mixed_distance.RestrictedProblem``, of
+    which only the segments ``seg_p`` and ``seg_q`` are read), or
     over every unordered edge-pair rectangle of the network, best first by
     weight bound, sampling only what may beat the best sample found so far
     and evaluating each term only on the samples where it may add its weight

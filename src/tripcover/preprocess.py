@@ -8,8 +8,10 @@ is the minimum of affine forms, one per route through the edges' ends (and
 the direct route on one edge).  This module computes the vertex distance
 matrix, the per-edge bottleneck partition, the route constants of any boxes
 (``route_constants``, which the floors of ``bounds`` read too) and, for any
-two segments, the non-dominated route classes as explicit affine forms: two
-forms on a concave pair, one on a linear pair, none on a segment with itself.
+two segments, the non-dominated route classes as explicit affine forms
+(``classify_segment_pair``): two or more on a concave pair, one on a linear
+pair, none on a segment with itself.  ``mixed_distance.RestrictedProblem``
+holds them with the two segments.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ _ROUTE_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 #: the slope classes (out of the first edge, into the second), 0 for ``u``
 _CLASSES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-TYPE1 = "type1"
-TYPE2 = "type2"
 
 
 class DisconnectedNetworkError(ValueError):
@@ -193,37 +192,6 @@ class AffineForm:
         return self.c0 + self.cx * x + self.cy * y
 
 
-@dataclass(frozen=True)
-class PairClass:
-    """Distance structure of one segment pair.
-
-    ``forms`` are the non-dominated route classes: the network distance is
-    their minimum, concave for more than one form (``type1``) and affine for
-    one (``type2``).  A pair of one segment twice (``diagonal``) has no forms
-    and the convex distance |x - y|.  Local coordinates run over [0, len_p] x
-    [0, len_q].
-    """
-
-    forms: tuple[AffineForm, ...]
-    diagonal: bool
-    len_p: float
-    len_q: float
-
-    @property
-    def kind(self) -> str:
-        return TYPE1 if len(self.forms) > 1 else TYPE2
-
-    @property
-    def branches(self) -> str:
-        """One branch name per form, ``"a"`` for a diagonal pair."""
-
-        return "abcd"[: max(len(self.forms), 1)]
-
-    @property
-    def rect(self) -> tuple[float, float]:
-        return (self.len_p, self.len_q)
-
-
 def _same_interval(a: LinearArcSegment, b: LinearArcSegment) -> bool:
     return (
         a.edge == b.edge
@@ -281,20 +249,23 @@ def classify_segment_pair(
     seg_q: LinearArcSegment,
     dist: np.ndarray,
     net: Network,
-) -> PairClass:
+) -> tuple[AffineForm, ...]:
     """The non-dominated route classes of a segment pair, as affine forms.
 
-    The classes are those of ``route_constants``.  The difference of two
-    classes is affine, so a class lies on or above another over the whole
-    rectangle when it does at the four corners; such a class is dropped,
-    within ``_ROUTE_ROUNDING`` times the largest corner value, and of two
-    equal classes the earlier stays.  The forms leave through the first
-    edge's ``u`` first and, on one edge, the direct route comes first.  The
-    least of the forms is the exact network distance on any rectangle.
+    The network distance is their minimum, concave for more than one form
+    (type 1) and affine for one (type 2).  A pair of one segment twice has
+    no forms and the convex distance ``|x - y|``.  The classes are those of
+    ``route_constants``.  The difference of two classes is affine, so a
+    class lies on or above another over the whole rectangle when it does at
+    the four corners; such a class is dropped, within ``_ROUTE_ROUNDING``
+    times the largest corner value, and of two equal classes the earlier
+    stays.  The forms leave through the first edge's ``u`` first and, on one
+    edge, the direct route comes first.  The least of the forms is the exact
+    network distance on any rectangle.
     """
 
     if _same_interval(seg_p, seg_q):
-        return PairClass((), True, seg_p.length, seg_q.length)
+        return ()
 
     columns = _route_columns(net, (seg_p, seg_q))
     const = route_constants(dist, columns, np.array([0]), np.array([1]))[0].tolist()
@@ -312,12 +283,11 @@ def classify_segment_pair(
         [k != m and all(a >= b - slack for a, b in zip(vk, vm)) for m, vm in enumerate(values)]
         for k, vk in enumerate(values)
     ]
-    kept = tuple(
+    return tuple(
         form
         for k, form in enumerate(forms)
         if not any(above[k][m] and (m < k or not above[m][k]) for m in range(len(forms)))
     )
-    return PairClass(kept, False, seg_p.length, seg_q.length)
 
 
 @dataclass(frozen=True)

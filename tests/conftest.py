@@ -22,20 +22,11 @@ import numpy as np
 import pytest
 
 from tripcover import cli, parse_instance
-from tripcover.fds_solver import (
-    FdsSolution,
-    RestrictedProblem,
-    restricted_problems,
-    solve_restricted,
-)
-from tripcover.mixed_distance import DEFAULT_COVERAGE_TOL, network_distance, pair_domain
+from tripcover.fds_solver import FdsSolution, restricted_problems, solve_restricted
+from tripcover.mixed_distance import DEFAULT_COVERAGE_TOL, RestrictedProblem, network_distance
 from tripcover.model import Network, NetworkPoint, ProblemInstance, Solution, network_point
 from tripcover.oracle import _edge_positions
-from tripcover.preprocess import (
-    all_pairs_shortest_paths,
-    classify_segment_pair,
-    preprocess_network,
-)
+from tripcover.preprocess import all_pairs_shortest_paths, preprocess_network
 
 S6 = 2.0 * math.sqrt(6.0)
 
@@ -128,11 +119,6 @@ def antipodal_problem(inst: ProblemInstance) -> RestrictedProblem:
         ):
             return rp
     raise AssertionError("antipodal segment pair not found")
-
-
-def domain_for(inst, seg_p, seg_q, dist):
-    pc = classify_segment_pair(seg_p, seg_q, dist, inst.network)
-    return pair_domain(inst.network, seg_p, seg_q, pc)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +271,14 @@ def reference_oracle_grid(
     return best_value, best_points[0], best_points[1]
 
 
-def reference_trip_length(inst: ProblemInstance, dom, pair, x, y):
+def reference_trip_length(inst: ProblemInstance, rp, pair, x, y):
     """One pair's better boarding order, from its own ``hypot`` legs and
     ``alpha * network_distance``, added in the coverage test's order."""
 
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    network = inst.alpha * network_distance(dom.pair_class, x, y)
-    px, py = dom.geom_p.position(x)
-    qx, qy = dom.geom_q.position(y)
+    network = inst.alpha * network_distance(rp, x, y)
+    px, py = rp.geom_p.position(x)
+    qx, qy = rp.geom_q.position(y)
     a = inst.facility_position(pair.origin)
     b = inst.facility_position(pair.dest)
     h12 = (np.hypot(a.x - px, a.y - py) + network) + np.hypot(qx - b.x, qy - b.y)
@@ -301,13 +287,13 @@ def reference_trip_length(inst: ProblemInstance, dom, pair, x, y):
 
 
 def reference_coverage_weights(
-    inst: ProblemInstance, dom, xs, ys, tol: float = DEFAULT_COVERAGE_TOL
+    inst: ProblemInstance, rp, xs, ys, tol: float = DEFAULT_COVERAGE_TOL
 ) -> np.ndarray:
     """Covered weight at each point, one pair at a time, summed in pair order."""
 
     total = np.zeros(np.broadcast(np.asarray(xs), np.asarray(ys)).shape)
     for pair in inst.pairs:
-        trip = reference_trip_length(inst, dom, pair, xs, ys)
+        trip = reference_trip_length(inst, rp, pair, xs, ys)
         total += pair.weight * (trip <= pair.acceptance + tol)
     return total
 

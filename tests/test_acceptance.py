@@ -16,17 +16,11 @@ import numpy as np
 import pytest
 
 from tripcover import parse_instance
-from tripcover.fds_solver import cross_pair_candidates, solve_global
+from tripcover.fds_solver import cross_pair_candidates, restricted_problems, solve_global
 from tripcover.level_curves import trace_level_curve
 from tripcover.mixed_distance import branch_field, network_distance
 from tripcover.oracle import edge_pair_distance, oracle_grid
-from tripcover.preprocess import (
-    TYPE1,
-    all_pairs_shortest_paths,
-    arc_bottleneck_points,
-    classify_segment_pair,
-    preprocess_network,
-)
+from tripcover.preprocess import all_pairs_shortest_paths, arc_bottleneck_points, preprocess_network
 from conftest import SUITE_TRACE_RES, antipodal_problem, fig4_doc, trapezoid_doc
 
 
@@ -90,7 +84,7 @@ def test_criterion_2_distance_formula(trapezoid):
     rng = np.random.default_rng(2024)
     xs = rng.uniform(0.0, 5.0, 1000)
     ys = rng.uniform(0.0, 5.0, 1000)
-    got = network_distance(rp.domain.pair_class, xs, ys)
+    got = network_distance(rp, xs, ys)
     expected = np.minimum(6.0 + xs + ys, 16.0 - xs - ys)
     err = float(np.abs(got - expected).max())
     elapsed = time.perf_counter() - started
@@ -109,7 +103,7 @@ def _fig4_curves(inst, rp, trace_res=256):
         store = {}
         for orientation in ("12", "21"):
             for branch in ("a", "b"):
-                field = branch_field(inst, rp.domain, pair, orientation, branch)
+                field = branch_field(inst, rp, pair, orientation, branch)
                 curve = trace_level_curve(field, pair.acceptance, trace_res)
                 if not curve.empty:
                     store[(orientation, branch)] = curve
@@ -249,34 +243,32 @@ def test_criterion_6_curvature_witnesses(random_suite):
     checked_concave = checked_convex = 0
     for inst in random_suite:
         prep = preprocess_network(inst.network)
-        segs = prep.segments
-        for a in range(len(segs)):
-            for b in range(a, len(segs)):
-                pc = classify_segment_pair(segs[a], segs[b], prep.dist, inst.network)
-                if pc.kind != TYPE1 and not pc.diagonal:
-                    continue
-                x1 = rng.uniform(0, pc.len_p, 1000)
-                y1 = rng.uniform(0, pc.len_q, 1000)
-                x2 = rng.uniform(0, pc.len_p, 1000)
-                y2 = rng.uniform(0, pc.len_q, 1000)
-                d1 = network_distance(pc, x1, y1)
-                d2 = network_distance(pc, x2, y2)
-                dm = network_distance(pc, 0.5 * (x1 + x2), 0.5 * (y1 + y2))
-                if pc.kind == TYPE1:
-                    ok = np.all(dm >= 0.5 * (d1 + d2) - 1e-9)
-                    checked_concave += 1
-                else:
-                    ok = np.all(dm <= 0.5 * (d1 + d2) + 1e-9)
-                    checked_convex += 1
-                try:
-                    assert ok
-                except AssertionError:
-                    verdict(
-                        6,
-                        False,
-                        f"midpoint witness failed for segments ({a},{b}), {pc.kind}",
-                    )
-                    raise
+        for rp in restricted_problems(inst, prep):
+            if len(rp.forms) == 1:
+                continue
+            w, h = rp.rect
+            x1 = rng.uniform(0, w, 1000)
+            y1 = rng.uniform(0, h, 1000)
+            x2 = rng.uniform(0, w, 1000)
+            y2 = rng.uniform(0, h, 1000)
+            d1 = network_distance(rp, x1, y1)
+            d2 = network_distance(rp, x2, y2)
+            dm = network_distance(rp, 0.5 * (x1 + x2), 0.5 * (y1 + y2))
+            if rp.forms:
+                ok = np.all(dm >= 0.5 * (d1 + d2) - 1e-9)
+                checked_concave += 1
+            else:
+                ok = np.all(dm <= 0.5 * (d1 + d2) + 1e-9)
+                checked_convex += 1
+            try:
+                assert ok
+            except AssertionError:
+                verdict(
+                    6,
+                    False,
+                    f"midpoint witness failed for problem {rp.index}, {len(rp.forms)} forms",
+                )
+                raise
     verdict(
         6,
         True,

@@ -85,8 +85,8 @@ def trace_all(inst, rp, trace_res=256):
     for pair in inst.pairs:
         store = {}
         for orientation in ("12", "21"):
-            for branch in rp.domain.pair_class.branches:
-                field = branch_field(inst, rp.domain, pair, orientation, branch)
+            for branch in rp.branches:
+                field = branch_field(inst, rp, pair, orientation, branch)
                 curve = trace_level_curve(field, pair.acceptance, trace_res)
                 if not curve.empty:
                     store[(orientation, branch)] = curve
@@ -115,7 +115,7 @@ def test_single_edge_network_single_problem():
     prep = preprocess_network(inst.network)
     problems = restricted_problems(inst, prep)
     assert len(problems) == 1
-    assert problems[0].domain.pair_class.diagonal
+    assert problems[0].diagonal
 
 
 def test_pair_candidates_no_curves_empty(trapezoid_a04):
@@ -145,13 +145,13 @@ def test_pair_candidates_type2_single_point():
     rp = next(
         p for p in problems if p.seg_p.edge == 0 and p.seg_q.edge == 1
     )
-    assert rp.domain.pair_class.kind == "type2"
+    assert len(rp.forms) == 1
     curves = trace_all(inst, rp)[(0, 1)]
     assert sorted(curves) == [("12", "a")]
     points, _ = pair_candidates(rp, curves)
     assert len(points) == 1
     x, y = points[0]
-    field = branch_field(inst, rp.domain, inst.pairs[0], "12", "a")
+    field = branch_field(inst, rp, inst.pairs[0], "12", "a")
     assert abs(float(field(x, y)) - inst.pairs[0].acceptance) < 1e-6
 
 
@@ -164,12 +164,12 @@ def test_problem_with_more_than_two_forms(monkeypatch):
     traced = [
         (rp, trace_all(inst, rp, trace_res=64))
         for rp in restricted_problems(inst, prep)
-        if len(rp.domain.pair_class.forms) >= 3
+        if len(rp.forms) >= 3
     ]
     # the problem with the most curves: two of them are branches c and d
     rp, by_pair = max(traced, key=lambda t: sum(map(len, t[1].values())))
-    branches = rp.domain.pair_class.branches
-    assert len(branches) == len(rp.domain.pair_class.forms)
+    branches = rp.branches
+    assert len(branches) == len(rp.forms)
 
     for floors in field_floors(inst, rp):
         assert [len(f) for f in floors] == [len(branches), len(branches)]
@@ -312,7 +312,7 @@ def test_candidate_coverage_reproducible(trapezoid_a04):
     rp = antipodal_problem(trapezoid_a04)
     sol = solve_restricted(trapezoid_a04, rp, trace_res=128)
     covered, value = coverage_and_objective(
-        trapezoid_a04, rp.domain, sol.best[0], sol.best[1]
+        trapezoid_a04, rp, sol.best[0], sol.best[1]
     )
     assert value == sol.objective
     assert tuple(covered) == sol.covered
@@ -330,7 +330,7 @@ def test_positive_optimum_attained_off_fallback(trapezoid_a04, random_suite):
             others = [c for c in sol.candidates if c.provenance != PROV_FALLBACK]
             xs = np.array([c.x for c in others])
             ys = np.array([c.y for c in others])
-            values = coverage_weights(inst, rp.domain, xs, ys)
+            values = coverage_weights(inst, rp, xs, ys)
             assert values.max() == sol.objective
 
 
@@ -435,7 +435,7 @@ def test_oracle_res2_samples_corners(trapezoid_a04):
     result = oracle_grid(trapezoid_a04, res=2, rp=rp)
     w, h = rp.rect
     corner_values = [
-        coverage_and_objective(trapezoid_a04, rp.domain, x, y)[1]
+        coverage_and_objective(trapezoid_a04, rp, x, y)[1]
         for x, y in ((0.0, 0.0), (w, 0.0), (0.0, h), (w, h))
     ]
     assert result.objective == max(corner_values)
@@ -904,18 +904,18 @@ def single_edge_docs(draw):
 def test_diagonal_floor_bounds_the_field(doc):
     inst = parse_instance(doc)
     (rp,) = restricted_problems(inst, preprocess_network(inst.network))
-    assert rp.domain.pair_class.diagonal
+    assert rp.diagonal
     pair = inst.pairs[0]
     a = inst.facility_position(pair.origin)
     b = inst.facility_position(pair.dest)
-    geom = rp.domain.geom_p
+    geom = rp.geom_p
     # the bound of the two separate facility-to-segment minima
     separate = point_segment_distance(a.x, a.y, geom) + point_segment_distance(b.x, b.y, geom)
     ts = np.linspace(0.0, rp.rect[0], 301)
     floors = field_floors(inst, rp)
     for o, orientation in enumerate(("12", "21")):
         # the floor covers both triangles, where the field is defined on one
-        lengths = path_length(inst, rp.domain, pair, ts[:, None], ts[None, :], orientation)
+        lengths = path_length(inst, rp, pair, ts[:, None], ts[None, :], orientation)
         sampled = float(lengths.min())
         floor = float(floors[0, o, 0])
         assert floor <= sampled + 1e-12
@@ -930,18 +930,17 @@ def test_field_floors_bound_every_field(seed, transform):
     inst = parse_instance(transformed_doc(random_instance_doc(seed), **transform))
     allowance = rounding_allowance(inst)
     for rp in restricted_problems(inst, preprocess_network(inst.network)):
-        pc = rp.domain.pair_class
         xs = np.linspace(0.0, rp.rect[0], 33)[:, None]
         ys = np.linspace(0.0, rp.rect[1], 33)[None, :]
         floors = field_floors(inst, rp)
         for pi, pair in enumerate(inst.pairs):
             for o, orientation in enumerate(("12", "21")):
-                for k, branch in enumerate(pc.branches):
-                    if pc.diagonal:  # both triangles; the field covers x <= y only
-                        lengths = path_length(inst, rp.domain, pair, xs, ys, orientation)
+                for k, branch in enumerate(rp.branches):
+                    if rp.diagonal:  # both triangles; the field covers x <= y only
+                        lengths = path_length(inst, rp, pair, xs, ys, orientation)
                         sampled = float(lengths.min())
                     else:
-                        field = branch_field(inst, rp.domain, pair, orientation, branch)
+                        field = branch_field(inst, rp, pair, orientation, branch)
                         sampled = float(field(xs, ys).min())
                     assert floors[pi, o, k] <= sampled + allowance
 

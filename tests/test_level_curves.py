@@ -18,7 +18,7 @@ from tripcover.level_curves import (
     trace_level_curve,
 )
 from tripcover.mixed_distance import Axis, branch_field, coverage_weights
-from tripcover.preprocess import TYPE1, preprocess_network
+from tripcover.preprocess import preprocess_network
 from conftest import antipodal_problem, fig4_doc, random_instance_doc, transformed_doc
 
 CSV_HEADER = "pair_i,pair_j,orientation,branch,polyline_id,vertex_index,x,y\n"
@@ -28,10 +28,10 @@ def fields_of(inst, rp):
     """Every branch field of every pair on one problem, with its pair."""
 
     return [
-        (pair, branch_field(inst, rp.domain, pair, orientation, branch))
+        (pair, branch_field(inst, rp, pair, orientation, branch))
         for pair in inst.pairs
         for orientation in ("12", "21")
-        for branch in rp.domain.pair_class.branches
+        for branch in rp.branches
     ]
 
 
@@ -68,7 +68,7 @@ def fig4_curves(two_pair_a04):
 
 
 def fig4_field(inst, orientation="12", branch="b"):
-    return branch_field(inst, antipodal_problem(inst).domain, inst.pairs[0], orientation, branch)
+    return branch_field(inst, antipodal_problem(inst), inst.pairs[0], orientation, branch)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -181,16 +181,15 @@ def test_traced_vertices_meet_residual_bound(fig4_curves):
 
 def test_branch_field_is_the_planar_trip_length(two_pair_a04):
     rp = antipodal_problem(two_pair_a04)
-    pc = rp.domain.pair_class
     rng = np.random.default_rng(7)
     x, y = rng.uniform(0.0, 5.0, 200), rng.uniform(0.0, 5.0, 200)
     for pair, field in fields_of(two_pair_a04, rp):
         a = two_pair_a04.facility_position(pair.origin)
         b = two_pair_a04.facility_position(pair.dest)
         first, second = (a, b) if field.orientation == "12" else (b, a)
-        px, py = rp.domain.geom_p.position(x)
-        qx, qy = rp.domain.geom_q.position(y)
-        form = pc.forms[0 if field.branch == "a" else 1]
+        px, py = rp.geom_p.position(x)
+        qx, qy = rp.geom_q.position(y)
+        form = rp.forms[0 if field.branch == "a" else 1]
         planar = (
             np.hypot(first.x - px, first.y - py)
             + two_pair_a04.alpha * form(x, y)
@@ -324,10 +323,10 @@ def test_diagonal_coverage_is_symmetric():
     for doc in PROBE_DOCS:
         inst = parse_instance(doc)
         for rp in restricted_problems(inst, preprocess_network(inst.network)):
-            if not rp.domain.pair_class.diagonal:
+            if not rp.diagonal:
                 continue
             ts = np.linspace(0.0, rp.rect[0], 37)
-            grid = coverage_weights(inst, rp.domain, ts[:, None], ts[None, :])
+            grid = coverage_weights(inst, rp, ts[:, None], ts[None, :])
             assert np.array_equal(grid, grid.T)
             diagonal += 1
     assert diagonal >= 50
@@ -338,14 +337,14 @@ def test_branch_crossings_lie_on_the_tie_line(probe_curves):
     # their curves cross where that affine term vanishes, at most twice
     by_problem = {}
     for rp, curve in probe_curves:
-        if rp.domain.pair_class.kind == TYPE1 and not rp.domain.pair_class.diagonal:
+        if len(rp.forms) > 1:
             f = curve.field
             by_problem.setdefault((id(rp), f.pair, f.orientation), (rp, {}))[1][f.branch] = curve
     checked = 0
     for rp, pair_curves in by_problem.values():
         if len(pair_curves) < 2:
             continue
-        form_a, form_b = rp.domain.pair_class.forms
+        form_a, form_b = rp.forms
         hits = intersect_curves(pair_curves["a"], pair_curves["b"])
         assert len(hits) <= 2
         for p in hits.points:
@@ -391,8 +390,8 @@ def test_intersect_requires_same_rectangle(two_pair_a04):
     rp = antipodal_problem(two_pair_a04)
     other = next(p for p in problems if p.rect != rp.rect)
     pair = two_pair_a04.pairs[0]
-    c1 = trace_level_curve(branch_field(two_pair_a04, rp.domain, pair, "12", "a"), 10.0, 64)
-    c2 = trace_level_curve(branch_field(two_pair_a04, other.domain, pair, "12", "a"), 10.0, 64)
+    c1 = trace_level_curve(branch_field(two_pair_a04, rp, pair, "12", "a"), 10.0, 64)
+    c2 = trace_level_curve(branch_field(two_pair_a04, other, pair, "12", "a"), 10.0, 64)
     with pytest.raises(ValueError, match="rectangle"):
         intersect_curves(c1, c2)
 

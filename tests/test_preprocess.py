@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from tripcover import parse_instance
 from tripcover.fds_solver import solve_global
 from tripcover.level_curves import DEFAULT_DEDUPE_RADIUS
-from tripcover.mixed_distance import network_distance
+from tripcover.mixed_distance import network_distance, restricted_problem
 from tripcover.preprocess import (
-    TYPE1,
-    TYPE2,
     DisconnectedNetworkError,
     all_pairs_shortest_paths,
     arc_bottleneck_points,
@@ -208,18 +206,18 @@ def test_classify_antipodal_pair_forms(trapezoid):
     prep = preprocess_network(trapezoid.network)
     top = prep.segments_by_edge[0][0]
     bottom_mid = prep.segments_by_edge[1][1]
-    pc = classify_segment_pair(top, bottom_mid, prep.dist, trapezoid.network)
-    assert pc.kind == TYPE1
-    assert [(f.c0, f.cx, f.cy) for f in pc.forms] == [(6.0, 1, 1), (16.0, -1, -1)]
+    forms = classify_segment_pair(top, bottom_mid, prep.dist, trapezoid.network)
+    assert len(forms) > 1
+    assert [(f.c0, f.cx, f.cy) for f in forms] == [(6.0, 1, 1), (16.0, -1, -1)]
 
 
 def test_classify_same_segment_is_absolute_difference(trapezoid):
     prep = preprocess_network(trapezoid.network)
     seg = prep.segments_by_edge[1][1]
-    pc = classify_segment_pair(seg, seg, prep.dist, trapezoid.network)
-    assert pc.kind == TYPE2
-    assert pc.diagonal
-    assert network_distance(pc, 2.0, 3.5) == pytest.approx(1.5)
+    rp = restricted_problem(trapezoid.network, prep.dist, seg, seg)
+    assert len(rp.forms) < 2
+    assert rp.diagonal
+    assert network_distance(rp, 2.0, 3.5) == pytest.approx(1.5)
 
 
 def test_classify_bottom_start_vs_top_is_affine(trapezoid):
@@ -227,10 +225,10 @@ def test_classify_bottom_start_vs_top_is_affine(trapezoid):
     prep = preprocess_network(trapezoid.network)
     b0 = prep.segments_by_edge[1][0]
     top = prep.segments_by_edge[0][0]
-    pc = classify_segment_pair(b0, top, prep.dist, trapezoid.network)
-    assert pc.kind == TYPE2
-    assert not pc.diagonal
-    assert (pc.forms[0].c0, pc.forms[0].cx, pc.forms[0].cy) == (5.0, 1, 1)
+    rp = restricted_problem(trapezoid.network, prep.dist, b0, top)
+    assert len(rp.forms) < 2
+    assert not rp.diagonal
+    assert (rp.forms[0].c0, rp.forms[0].cx, rp.forms[0].cy) == (5.0, 1, 1)
 
 
 def test_classification_tag_symmetric(trapezoid, random_suite):
@@ -239,10 +237,10 @@ def test_classification_tag_symmetric(trapezoid, random_suite):
         segs = prep.segments
         for a in range(len(segs)):
             for b in range(a, len(segs)):
-                pc1 = classify_segment_pair(segs[a], segs[b], prep.dist, inst.network)
-                pc2 = classify_segment_pair(segs[b], segs[a], prep.dist, inst.network)
-                assert pc1.kind == pc2.kind
-                assert pc1.diagonal == pc2.diagonal
+                rp1 = restricted_problem(inst.network, prep.dist, segs[a], segs[b])
+                rp2 = restricted_problem(inst.network, prep.dist, segs[b], segs[a])
+                assert (len(rp1.forms) > 1) == (len(rp2.forms) > 1)
+                assert rp1.diagonal == rp2.diagonal
 
 
 def test_type1_forms_have_opposite_signs(random_suite, trapezoid):
@@ -251,59 +249,53 @@ def test_type1_forms_have_opposite_signs(random_suite, trapezoid):
         segs = prep.segments
         for a in range(len(segs)):
             for b in range(a, len(segs)):
-                pc = classify_segment_pair(segs[a], segs[b], prep.dist, inst.network)
-                if pc.kind == TYPE1:
-                    fa, fb = pc.forms
+                forms = classify_segment_pair(segs[a], segs[b], prep.dist, inst.network)
+                if len(forms) > 1:
+                    fa, fb = forms
                     assert fa.cx == -fb.cx
                     assert fa.cy == -fb.cy
                     assert fa.c0 >= 0 and fb.c0 >= 0
 
 
-def _sample_pairclasses(inst, limit=None):
+def _sample_problems(inst, limit=None):
     prep = preprocess_network(inst.network)
     segs = prep.segments
     out = []
     for a in range(len(segs)):
         for b in range(a, len(segs)):
-            out.append(
-                (
-                    segs[a],
-                    segs[b],
-                    classify_segment_pair(segs[a], segs[b], prep.dist, inst.network),
-                )
-            )
+            out.append(restricted_problem(inst.network, prep.dist, segs[a], segs[b]))
     return out[:limit] if limit else out
 
 
 def test_type1_midpoint_concavity(trapezoid, random_suite):
     rng = np.random.default_rng(7)
     for inst in [trapezoid] + random_suite[:4]:
-        for seg_p, seg_q, pc in _sample_pairclasses(inst):
-            if pc.kind != TYPE1:
+        for rp in _sample_problems(inst):
+            if len(rp.forms) < 2:
                 continue
-            x1 = rng.uniform(0, pc.len_p, 1000)
-            y1 = rng.uniform(0, pc.len_q, 1000)
-            x2 = rng.uniform(0, pc.len_p, 1000)
-            y2 = rng.uniform(0, pc.len_q, 1000)
-            d1 = network_distance(pc, x1, y1)
-            d2 = network_distance(pc, x2, y2)
-            dm = network_distance(pc, 0.5 * (x1 + x2), 0.5 * (y1 + y2))
+            x1 = rng.uniform(0, rp.rect[0], 1000)
+            y1 = rng.uniform(0, rp.rect[1], 1000)
+            x2 = rng.uniform(0, rp.rect[0], 1000)
+            y2 = rng.uniform(0, rp.rect[1], 1000)
+            d1 = network_distance(rp, x1, y1)
+            d2 = network_distance(rp, x2, y2)
+            dm = network_distance(rp, 0.5 * (x1 + x2), 0.5 * (y1 + y2))
             assert np.all(dm >= 0.5 * (d1 + d2) - 1e-9)
 
 
 def test_diagonal_midpoint_convexity(trapezoid, random_suite):
     rng = np.random.default_rng(8)
     for inst in [trapezoid] + random_suite[:4]:
-        for seg_p, seg_q, pc in _sample_pairclasses(inst):
-            if not pc.diagonal:
+        for rp in _sample_problems(inst):
+            if not rp.diagonal:
                 continue
-            x1 = rng.uniform(0, pc.len_p, 1000)
-            y1 = rng.uniform(0, pc.len_q, 1000)
-            x2 = rng.uniform(0, pc.len_p, 1000)
-            y2 = rng.uniform(0, pc.len_q, 1000)
-            d1 = network_distance(pc, x1, y1)
-            d2 = network_distance(pc, x2, y2)
-            dm = network_distance(pc, 0.5 * (x1 + x2), 0.5 * (y1 + y2))
+            x1 = rng.uniform(0, rp.rect[0], 1000)
+            y1 = rng.uniform(0, rp.rect[1], 1000)
+            x2 = rng.uniform(0, rp.rect[0], 1000)
+            y2 = rng.uniform(0, rp.rect[1], 1000)
+            d1 = network_distance(rp, x1, y1)
+            d2 = network_distance(rp, x2, y2)
+            dm = network_distance(rp, 0.5 * (x1 + x2), 0.5 * (y1 + y2))
             assert np.all(dm <= 0.5 * (d1 + d2) + 1e-9)
 
 
@@ -314,15 +306,16 @@ def test_forms_match_insertion_distance(trapezoid, random_suite):
 
     rng = np.random.default_rng(9)
     for inst in [trapezoid] + random_suite[:3]:
-        for seg_p, seg_q, pc in _sample_pairclasses(inst):
+        for rp in _sample_problems(inst):
+            seg_p, seg_q = rp.seg_p, rp.seg_q
             probes = [
                 (0.0, 0.0),
-                (pc.len_p, 0.0),
-                (0.0, pc.len_q),
-                (pc.len_p, pc.len_q),
+                (rp.rect[0], 0.0),
+                (0.0, rp.rect[1]),
+                (rp.rect[0], rp.rect[1]),
             ]
             probes += [
-                (rng.uniform(0, pc.len_p), rng.uniform(0, pc.len_q)) for _ in range(3)
+                (rng.uniform(0, rp.rect[0]), rng.uniform(0, rp.rect[1])) for _ in range(3)
             ]
             for x, y in probes:
                 expected = insertion_distance(
@@ -330,7 +323,7 @@ def test_forms_match_insertion_distance(trapezoid, random_suite):
                     (seg_p.edge, seg_p.start + x),
                     (seg_q.edge, seg_q.start + y),
                 )
-                assert float(network_distance(pc, x, y)) == pytest.approx(
+                assert float(network_distance(rp, x, y)) == pytest.approx(
                     expected, abs=1e-9
                 )
 
@@ -393,16 +386,16 @@ def test_classification_matches_insertion_distance(case, fx, fy):
     net = parse_instance(doc).network
     prep = preprocess_network(net)
     for seg_p, seg_q in itertools.product(prep.segments, repeat=2):
-        pc = classify_segment_pair(seg_p, seg_q, prep.dist, net)
-        xs = [0.0, fx * pc.len_p, pc.len_p]
-        ys = [0.0, fy * pc.len_q, pc.len_q]
+        rp = restricted_problem(net, prep.dist, seg_p, seg_q)
+        xs = [0.0, fx * rp.rect[0], rp.rect[0]]
+        ys = [0.0, fy * rp.rect[1], rp.rect[1]]
         xs += [t - seg_p.start for e, t in facility_points if e == seg_p.edge and seg_p.start <= t <= seg_p.end]
         ys += [t - seg_q.start for e, t in facility_points if e == seg_q.edge and seg_q.start <= t <= seg_q.end]
         for x, y in itertools.product(xs, ys):
             expected = insertion_distance(
                 net, (seg_p.edge, seg_p.start + x), (seg_q.edge, seg_q.start + y)
             )
-            assert float(network_distance(pc, x, y)) == pytest.approx(expected, abs=1e-9)
+            assert float(network_distance(rp, x, y)) == pytest.approx(expected, abs=1e-9)
 
 
 def test_forms_are_exact_at_every_scale(random_suite):
@@ -423,12 +416,12 @@ def test_forms_are_exact_at_every_scale(random_suite):
         prep = preprocess_network(net)
         allowance = 1e-12 * prep.dist.max()
         for seg_p, seg_q in itertools.product(prep.segments, repeat=2):
-            pc = classify_segment_pair(seg_p, seg_q, prep.dist, net)
+            rp = restricted_problem(net, prep.dist, seg_p, seg_q)
             # more classes survive only where bottleneck points were merged
-            assert len(pc.forms) <= most
-            xs = np.linspace(0.0, pc.len_p, 5)
-            ys = np.linspace(0.0, pc.len_q, 5)
-            got = network_distance(pc, xs[:, None], ys[None, :])
+            assert len(rp.forms) <= most
+            xs = np.linspace(0.0, rp.rect[0], 5)
+            ys = np.linspace(0.0, rp.rect[1], 5)
+            got = network_distance(rp, xs[:, None], ys[None, :])
             for (i, x), (j, y) in itertools.product(enumerate(xs), enumerate(ys)):
                 expected = insertion_distance(
                     net, (seg_p.edge, seg_p.start + x), (seg_q.edge, seg_q.start + y)
